@@ -177,8 +177,17 @@ impl ShardPlan {
     /// rebalances across *all* survivors instead of funneling onto the
     /// ring successor along with the cold tail.
     pub fn owners(&self, row: u64) -> Vec<ShardId> {
+        let mut owners = Vec::with_capacity(self.replication);
+        self.owners_into(row, &mut owners);
+        owners
+    }
+
+    /// [`ShardPlan::owners`] written into `owners`, replacing its contents
+    /// (no allocation once `owners` has the capacity).
+    pub fn owners_into(&self, row: u64, owners: &mut Vec<ShardId>) {
         let primary = self.primary(row);
-        let mut owners = vec![primary];
+        owners.clear();
+        owners.push(primary);
         if self.is_hot(row) {
             let mut probe = 1u64;
             while owners.len() < self.replication && probe < 8 * self.nodes as u64 {
@@ -199,7 +208,6 @@ impl ShardPlan {
             }
             next = (next + 1) % self.nodes;
         }
-        owners
     }
 }
 

@@ -3,12 +3,13 @@
 use std::error::Error;
 use std::fmt;
 
+use tensordimm_embedding::{Distribution, IndexStream};
 use tensordimm_exec::par_map;
 use tensordimm_faults::FaultPlan;
 use tensordimm_models::Workload;
 use tensordimm_serving::{
-    simulate, zipf_lookup_rows, AdmissionPolicy, BatchPolicy, LatencySummary, OutcomeCounts,
-    RequestOutcome, RetryPolicy, SimConfig, SimError, SimReport,
+    simulate, AdmissionPolicy, BatchPolicy, LatencySummary, OutcomeCounts, RequestOutcome,
+    RetryPolicy, SimConfig, SimError, SimReport,
 };
 use tensordimm_system::{DesignPoint, PricingBackend, SystemModel};
 
@@ -346,12 +347,27 @@ struct Leg {
     hedge: Option<ShardId>,
 }
 
-/// Where a request was routed.
-#[derive(Debug, Clone, Default)]
+/// Where a request was routed: its legs are
+/// `legs[first_leg..first_leg + leg_count]` of the run's flat leg array.
+#[derive(Debug, Clone, Copy, Default)]
 struct Route {
-    legs: Vec<Leg>,
+    first_leg: usize,
+    leg_count: usize,
     router_shed: bool,
     rerouted: bool,
+}
+
+/// Every request's route, with all legs in one flat array.
+#[derive(Debug, Clone, Default)]
+struct Routes {
+    routes: Vec<Route>,
+    legs: Vec<Leg>,
+}
+
+impl Routes {
+    fn legs(&self, route: &Route) -> &[Leg] {
+        &self.legs[route.first_leg..route.first_leg + route.leg_count]
+    }
 }
 
 /// Cluster-wide routing statistics.
@@ -486,37 +502,46 @@ impl ClusterReport {
 }
 
 /// Route every request: sample its rows, pick an owner per row, group
-/// rows into per-shard legs, attach hedges.
+/// rows into per-shard legs, attach hedges. One row sampler and one set of
+/// scratch buffers serve every request.
 fn route_requests(
     cfg: &ClusterConfig,
     rows_per_table: u64,
     arrivals_us: &[f64],
     health: &[NodeHealth],
-) -> (Vec<Route>, RoutingStats) {
-    let mut routes = Vec::with_capacity(arrivals_us.len());
+) -> (Routes, RoutingStats) {
+    let mut routes = Routes {
+        routes: Vec::with_capacity(arrivals_us.len()),
+        legs: Vec::new(),
+    };
     let mut stats = RoutingStats::default();
     let mut routed_requests = 0usize;
     let mut fanout_sum = 0usize;
+    let mut stream = IndexStream::new(Distribution::with_skew(cfg.zipf_s), rows_per_table, 0);
+    let mut rows: Vec<u64> = Vec::with_capacity(cfg.routing_lookups);
+    let mut owners: Vec<ShardId> = Vec::with_capacity(cfg.plan.replication());
+    let mut live: Vec<ShardId> = Vec::with_capacity(cfg.plan.replication());
+    let mut primaries: Vec<ShardId> = Vec::new();
+    let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
     for (id, &t) in arrivals_us.iter().enumerate() {
-        let mut rows = zipf_lookup_rows(
-            cfg.routing_lookups,
-            rows_per_table,
-            cfg.zipf_s,
-            cfg.lookup_seed ^ mix(id as u64),
-        );
+        stream.reseed(cfg.lookup_seed ^ mix(id as u64));
+        stream.fill(cfg.routing_lookups, &mut rows);
         rows.sort_unstable();
         rows.dedup();
         // One deterministic per-request draw spreads hot-row load across
         // replicas without widening the fan-out per row.
         let spread = mix(cfg.lookup_seed ^ mix(id as u64 ^ 0x10d7));
-        let mut route = Route::default();
-        let mut primaries: Vec<ShardId> = Vec::new();
-        let mut hedges: Vec<(ShardId, ShardId)> = Vec::new();
+        let mut route = Route {
+            first_leg: routes.legs.len(),
+            ..Route::default()
+        };
+        primaries.clear();
+        hedges.clear();
         // Cold rows first (descending ids): their placement is forced,
         // so the hot head's affinity check sees the full cold target set
         // and can narrow the fan-out instead of widening it.
         'rows: for &row in rows.iter().rev() {
-            let owners = cfg.plan.owners(row);
+            cfg.plan.owners_into(row, &mut owners);
             let target = match cfg.failover {
                 FailoverPolicy::None => {
                     let primary = owners[0];
@@ -527,11 +552,8 @@ fn route_requests(
                     primary
                 }
                 FailoverPolicy::Reroute | FailoverPolicy::HedgeDegraded => {
-                    let live: Vec<ShardId> = owners
-                        .iter()
-                        .copied()
-                        .filter(|&o| !health[o].dead_at(t))
-                        .collect();
+                    live.clear();
+                    live.extend(owners.iter().copied().filter(|&o| !health[o].dead_at(t)));
                     if live.is_empty() {
                         route.router_shed = true;
                         break 'rows;
@@ -573,28 +595,26 @@ fn route_requests(
         }
         if route.router_shed {
             stats.router_shed += 1;
-            route.legs.clear();
         } else {
-            route.legs = primaries
-                .iter()
-                .map(|&p| Leg {
-                    primary: p,
-                    hedge: hedges.iter().find(|(lp, _)| *lp == p).map(|&(_, h)| h),
-                })
-                .collect();
+            routes.legs.extend(primaries.iter().map(|&p| Leg {
+                primary: p,
+                hedge: hedges.iter().find(|(lp, _)| *lp == p).map(|&(_, h)| h),
+            }));
+            route.leg_count = primaries.len();
             routed_requests += 1;
-            fanout_sum += route.legs.len();
-            stats.subrequests += route
-                .legs
+            fanout_sum += route.leg_count;
+            let hedged = routes
+                .legs(&route)
                 .iter()
-                .map(|l| 1 + usize::from(l.hedge.is_some()))
-                .sum::<usize>();
-            stats.hedge_subrequests += route.legs.iter().filter(|l| l.hedge.is_some()).count();
+                .filter(|l| l.hedge.is_some())
+                .count();
+            stats.subrequests += route.leg_count + hedged;
+            stats.hedge_subrequests += hedged;
             if route.rerouted {
                 stats.rerouted_requests += 1;
             }
         }
-        routes.push(route);
+        routes.routes.push(route);
     }
     stats.mean_fanout = if routed_requests > 0 {
         fanout_sum as f64 / routed_requests as f64
@@ -621,10 +641,7 @@ pub fn shard_traces(
     validate_trace(arrivals_us)?;
     let health = node_healths(cfg, arrivals_us)?;
     let (routes, _) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
-    Ok(per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes)
-        .into_iter()
-        .map(|subs| subs.into_iter().map(|(t, _, _)| t).collect())
-        .collect())
+    Ok(per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes))
 }
 
 fn validate_trace(arrivals_us: &[f64]) -> Result<(), ClusterError> {
@@ -649,23 +666,19 @@ fn node_healths(cfg: &ClusterConfig, arrivals_us: &[f64]) -> Result<Vec<NodeHeal
         .collect()
 }
 
-/// Sub-request: (arrival, request id, is_hedge).
-fn per_shard_arrivals(
-    nodes: usize,
-    arrivals_us: &[f64],
-    routes: &[Route],
-) -> Vec<Vec<(f64, usize, bool)>> {
-    let mut shard_subs: Vec<Vec<(f64, usize, bool)>> = vec![Vec::new(); nodes];
-    for (id, route) in routes.iter().enumerate() {
-        let t = arrivals_us[id];
-        for leg in &route.legs {
-            shard_subs[leg.primary].push((t, id, false));
+/// Each shard's arrival trace: the sub-requests routing fans out to it,
+/// in request order, a leg's primary copy before its hedge duplicate.
+fn per_shard_arrivals(nodes: usize, arrivals_us: &[f64], routes: &Routes) -> Vec<Vec<f64>> {
+    let mut traces = vec![Vec::new(); nodes];
+    for (route, &t) in routes.routes.iter().zip(arrivals_us) {
+        for leg in routes.legs(route) {
+            traces[leg.primary].push(t);
             if let Some(h) = leg.hedge {
-                shard_subs[h].push((t, id, true));
+                traces[h].push(t);
             }
         }
     }
-    shard_subs
+    traces
 }
 
 /// Run the cluster: route, fan out, price every shard on the per-node
@@ -689,38 +702,30 @@ pub fn simulate_cluster(
     validate_trace(arrivals_us)?;
     let health = node_healths(cfg, arrivals_us)?;
     let (routes, mut stats) = route_requests(cfg, workload.rows_per_table, arrivals_us, &health);
-    let shard_subs = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes);
+    let traces = per_shard_arrivals(cfg.plan.nodes(), arrivals_us, &routes);
 
     // Fan the per-shard runs across the worker pool. Each shard prices
     // against its own capacity-sliced model clone; errors surface from
     // the lowest shard index for determinism.
     let inputs: Vec<usize> = (0..cfg.plan.nodes()).collect();
     let results: Vec<Result<SimReport, SimError>> = par_map(&inputs, cfg.workers, |_, &node| {
-        let arrivals: Vec<f64> = shard_subs[node].iter().map(|&(t, _, _)| t).collect();
         let m = shard_model(model, cfg, node);
         let sim_cfg = shard_sim_config(cfg, node);
-        simulate(&m, workload, &sim_cfg, &arrivals)
+        simulate(&m, workload, &sim_cfg, &traces[node])
     });
     let mut shards = Vec::with_capacity(results.len());
     for (node, result) in results.into_iter().enumerate() {
         shards.push(ShardOutcome {
             node,
-            subrequests: shard_subs[node].len(),
+            subrequests: traces[node].len(),
             report: result?,
         });
     }
 
-    // Local index of each sub-request within its shard's trace, keyed
-    // back to (request, leg role) for the rejoin.
-    let mut leg_outcomes: Vec<Vec<LegOutcome>> = vec![Vec::new(); arrivals_us.len()];
-    for (node, subs) in shard_subs.iter().enumerate() {
-        for (local, &(_, id, is_hedge)) in subs.iter().enumerate() {
-            let rec = &shards[node].report.records[local];
-            let finish = rec.completion.map(|c| c.finish_us);
-            leg_outcomes[id].push((node, rec.outcome, finish, is_hedge));
-        }
-    }
-
+    // Walk the shards' records in the order `per_shard_arrivals` filled
+    // their traces: `next[node]` is the next unclaimed record of `node`.
+    let mut next = vec![0usize; shards.len()];
+    let mut subs: Vec<LegOutcome> = Vec::new();
     let horizon = cfg.horizon_us;
     let mut records = Vec::with_capacity(arrivals_us.len());
     let mut outcomes = OutcomeCounts::default();
@@ -728,17 +733,37 @@ pub fn simulate_cluster(
     let mut arrived = 0usize;
     let sla_us = cfg.retry.deadline_us;
     let mut within_sla = 0usize;
-    for (id, route) in routes.iter().enumerate() {
+    for (id, route) in routes.routes.iter().enumerate() {
         let t = arrivals_us[id];
+        let legs = routes.legs(route);
         let in_window = horizon.is_none_or(|h| t <= h);
         let mut record = ClusterRecord {
             arrival_us: t,
             outcome: None,
             finish_us: None,
-            fanout: route.legs.len(),
+            fanout: legs.len(),
             rerouted: route.rerouted,
-            hedged: route.legs.iter().any(|l| l.hedge.is_some()),
+            hedged: legs.iter().any(|l| l.hedge.is_some()),
         };
+        subs.clear();
+        for leg in legs {
+            let copies = [(leg.primary, false)]
+                .into_iter()
+                .chain(leg.hedge.map(|h| (h, true)));
+            for (node, is_hedge) in copies {
+                let rec = &shards[node].report.records[next[node]];
+                next[node] += 1;
+                subs.push((
+                    node,
+                    rec.outcome,
+                    rec.completion.map(|c| c.finish_us),
+                    is_hedge,
+                ));
+            }
+        }
+        // Node order, as the shards hold them (the sort is stable, so a
+        // shard's copies keep their trace order).
+        subs.sort_by_key(|&(node, ..)| node);
         if !in_window {
             records.push(record);
             continue;
@@ -747,7 +772,7 @@ pub fn simulate_cluster(
         let outcome = if route.router_shed {
             Some(RequestOutcome::Shed)
         } else {
-            rejoin(&route.legs, &leg_outcomes[id], &mut record)
+            rejoin(legs, &subs, &mut record)
         };
         record.outcome = outcome;
         match outcome {

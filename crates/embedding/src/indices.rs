@@ -21,6 +21,18 @@ pub enum Distribution {
     },
 }
 
+impl Distribution {
+    /// Zipfian with exponent `s`, or uniform when `s` is not positive —
+    /// the distribution [`zipf_lookup_rows`] draws from.
+    pub fn with_skew(s: f64) -> Self {
+        if s > 0.0 {
+            Distribution::Zipfian { s }
+        } else {
+            Distribution::Uniform
+        }
+    }
+}
+
 /// A deterministic stream of embedding-table indices.
 ///
 /// Zipfian sampling uses the rejection-inversion method of Hörmann &
@@ -86,11 +98,13 @@ impl ZipfSampler {
             let u = self.h_x1 + rng.gen::<f64>() * (self.h_n - self.h_x1);
             let x = self.h_inv(u);
             let k = (x + 0.5).floor().clamp(1.0, self.rows);
-            let h_k = Self::h_static(k + 0.5, self.s) - Self::h_static(k - 0.5, self.s);
-            if u >= Self::h_static(k + 0.5, self.s) - h_k.min(k.powf(-self.s)) {
+            let h_hi = Self::h_static(k + 0.5, self.s);
+            let k_pow = k.powf(-self.s);
+            let h_k = h_hi - Self::h_static(k - 0.5, self.s);
+            if u >= h_hi - h_k.min(k_pow) {
                 // Accept when u falls inside k's slice; the simple guard
                 // below accepts k with probability proportional to k^-s.
-                if rng.gen::<f64>() * h_k <= k.powf(-self.s) {
+                if rng.gen::<f64>() * h_k <= k_pow {
                     return k as u64 - 1;
                 }
             }
@@ -106,12 +120,7 @@ impl ZipfSampler {
 /// paper-scale tables — billions of rows — cost the same O(1) state as a
 /// thousand-row toy table. The only allocation is the `count`-sized output.
 pub fn zipf_lookup_rows(count: usize, rows: u64, s: f64, seed: u64) -> Vec<u64> {
-    let distribution = if s > 0.0 {
-        Distribution::Zipfian { s }
-    } else {
-        Distribution::Uniform
-    };
-    IndexStream::new(distribution, rows, seed).batch(count)
+    IndexStream::new(Distribution::with_skew(s), rows, seed).batch(count)
 }
 
 /// Fraction of `rows_hit` falling in the hottest `hot_fraction` of the
@@ -158,9 +167,23 @@ impl IndexStream {
         }
     }
 
+    /// Restart the stream at `seed`, keeping the sampler's precomputation:
+    /// the draws that follow are those of a fresh
+    /// `IndexStream::new(distribution, rows, seed)`.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+    }
+
     /// Draw `n` indices.
     pub fn batch(&mut self, n: usize) -> Vec<u64> {
         (0..n).map(|_| self.next_index()).collect()
+    }
+
+    /// Draw `n` indices into `out`, replacing its contents (no allocation
+    /// once `out` has the capacity).
+    pub fn fill(&mut self, n: usize, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend((0..n).map(|_| self.next_index()));
     }
 
     /// Draw a multi-hot batch: `batch` samples of `lookups` indices each

@@ -81,7 +81,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -267,6 +267,11 @@ impl SimConfig {
                 });
             }
         }
+        self.hot_rows
+            .validate()
+            .map_err(|_| SimError::InvalidConfig {
+                parameter: "hot_rows",
+            })?;
         self.faults.validate()?;
         self.retry.validate()?;
         self.admission.validate()?;
@@ -490,7 +495,18 @@ struct Engine<'a> {
     workload: &'a Workload,
     design: DesignPoint,
     gpus: usize,
+    /// The sorted arrival trace; `arrivals_us[next_arrival]` is the next
+    /// arrival, whose event has `seq` equal to its request id.
+    arrivals_us: &'a [f64],
+    next_arrival: usize,
+    /// Events armed at a variable delay: GPU completions, backoff
+    /// re-admissions and fault transitions.
     heap: BinaryHeap<Event>,
+    /// Timers armed at `now + constant`, one FIFO per kind. Each is pushed
+    /// in non-decreasing `(time, seq)` order, so its front is its minimum.
+    flushes: VecDeque<Event>,
+    deadlines: VecDeque<Event>,
+    hedges: VecDeque<Event>,
     seq: u64,
     batcher: DynamicBatcher,
     /// Free GPU ids; popped from the back (lowest id first by construction).
@@ -519,12 +535,75 @@ struct Engine<'a> {
 
 impl Engine<'_> {
     fn push_event(&mut self, time_us: f64, kind: EventKind) {
-        self.heap.push(Event {
+        let event = Event {
             time_us,
             seq: self.seq,
             kind,
-        });
+        };
         self.seq += 1;
+        let fifo = match kind {
+            EventKind::Flush => &mut self.flushes,
+            EventKind::RetryFire(RetryKind::Deadline(_)) => &mut self.deadlines,
+            EventKind::RetryFire(RetryKind::Hedge { .. }) => &mut self.hedges,
+            EventKind::Arrival(_) => unreachable!("arrivals are read from the trace"),
+            EventKind::GpuDone(_)
+            | EventKind::FaultTransition(_)
+            | EventKind::RetryFire(RetryKind::Readmit(_)) => {
+                self.heap.push(event);
+                return;
+            }
+        };
+        // `Ord` is reversed (earliest is greatest): the previous timer of
+        // this kind must not fire after the new one.
+        debug_assert!(
+            fifo.back().is_none_or(|last| *last > event),
+            "timer FIFO pushed out of (time, seq) order"
+        );
+        fifo.push_back(event);
+    }
+
+    /// Remove and return the earliest pending event under `Ord for Event`:
+    /// the greatest of the next arrival, the heap top and the three FIFO
+    /// fronts.
+    fn pop_event(&mut self) -> Option<Event> {
+        let arrival = self.arrivals_us.get(self.next_arrival).map(|&t| Event {
+            time_us: t,
+            seq: self.next_arrival as u64,
+            kind: EventKind::Arrival(self.next_arrival),
+        });
+        let fronts = [
+            self.heap.peek(),
+            self.flushes.front(),
+            self.deadlines.front(),
+            self.hedges.front(),
+        ];
+        let mut best = arrival;
+        let mut source = None;
+        for (i, front) in fronts.into_iter().enumerate() {
+            if let Some(&e) = front {
+                if best.is_none_or(|b| e > b) {
+                    best = Some(e);
+                    source = Some(i);
+                }
+            }
+        }
+        match source {
+            None if best.is_some() => self.next_arrival += 1,
+            None => {}
+            Some(0) => {
+                self.heap.pop();
+            }
+            Some(1) => {
+                self.flushes.pop_front();
+            }
+            Some(2) => {
+                self.deadlines.pop_front();
+            }
+            Some(_) => {
+                self.hedges.pop_front();
+            }
+        }
+        best
     }
 
     /// The pricer's view of the current fault state, with `reread_rows`
@@ -761,8 +840,14 @@ pub fn simulate_with_pricer(
         workload,
         design: cfg.design,
         gpus: cfg.gpus,
-        heap: BinaryHeap::with_capacity(2 * n + cfg.gpus + transitions.len()),
-        seq: 0,
+        arrivals_us,
+        next_arrival: 0,
+        heap: BinaryHeap::with_capacity(cfg.gpus + transitions.len()),
+        flushes: VecDeque::new(),
+        deadlines: VecDeque::new(),
+        hedges: VecDeque::new(),
+        // Arrival `id` carries `seq == id`; every other event comes after.
+        seq: n as u64,
         batcher: DynamicBatcher::new(cfg.policy),
         free_gpus: (0..cfg.gpus).rev().collect(),
         in_flight: vec![None; cfg.gpus],
@@ -779,9 +864,6 @@ pub fn simulate_with_pricer(
         retry_pending: 0,
         hedge_dispatches: 0,
     };
-    for (id, &t) in arrivals_us.iter().enumerate() {
-        engine.push_event(t, EventKind::Arrival(id));
-    }
     for (i, tr) in transitions.iter().enumerate() {
         engine.push_event(tr.at_us, EventKind::FaultTransition(i));
     }
@@ -804,7 +886,7 @@ pub fn simulate_with_pricer(
     let mut progress_us = 0.0f64;
     let mut horizon_hit = false;
 
-    while let Some(event) = engine.heap.pop() {
+    while let Some(event) = engine.pop_event() {
         if let Some(h) = cfg.horizon_us {
             if event.time_us > h {
                 horizon_hit = true;
@@ -1424,6 +1506,32 @@ mod tests {
                 parameter: "max_queue_depth"
             })
         ));
+    }
+
+    /// A hot-row cache geometry the cycle backend cannot build (96 rows in
+    /// 4 ways is 24 sets, not a power of two) is a configuration error,
+    /// not a panic inside the pricer's first cold replay.
+    #[test]
+    fn bad_hot_row_geometry_is_an_error_not_a_panic() {
+        let m = model();
+        let w = Workload::facebook();
+        let cfg = SimConfig::new(DesignPoint::Tdimm, 2, BatchPolicy::new(8, 100.0))
+            .with_pricing(PricingBackend::CycleCalibrated)
+            .with_hot_rows(HotRowCacheConfig {
+                capacity_rows: 96,
+                ways: 4,
+                ..HotRowCacheConfig::set_associative(128, 4)
+            });
+        let run = std::panic::catch_unwind(|| simulate(&m, &w, &cfg, &poisson(50_000.0, 20, 3)));
+        assert_eq!(
+            run.expect("must not unwind"),
+            Err(SimError::InvalidConfig {
+                parameter: "hot_rows"
+            })
+        );
+        // A valid geometry still runs.
+        let ok = cfg.with_hot_rows(HotRowCacheConfig::set_associative(128, 4));
+        assert!(simulate(&m, &w, &ok, &poisson(50_000.0, 20, 3)).is_ok());
     }
 
     /// The headline robustness contract: fault/retry/admission machinery

@@ -91,6 +91,18 @@ fn cluster_cfg(plan: ShardPlan, base: FaultPlan, failover: FailoverPolicy) -> Cl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// `owners_into` writes exactly the owner set `owners` returns, for
+    /// every placement and replication, into a buffer that held another
+    /// row's owners.
+    #[test]
+    fn owners_into_matches_owners(plan in arb_plan(), row in 0u64..u64::MAX) {
+        let mut buf = plan.owners(row ^ 0x5555);
+        for r in [row, row % 4_096, u64::MAX - row % 7] {
+            plan.owners_into(r, &mut buf);
+            prop_assert_eq!(&buf, &plan.owners(r));
+        }
+    }
+
     /// Owner sets are always `replication` distinct in-range nodes led by
     /// the primary, and are a pure function of the row.
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use tensordimm::embedding::{ops, Distribution, EmbeddingTable, IndexStream};
+use tensordimm::embedding::{ops, zipf_lookup_rows, Distribution, EmbeddingTable, IndexStream};
 use tensordimm::isa::ReduceOp;
 
 proptest! {
@@ -91,5 +91,24 @@ proptest! {
             prop_assert_eq!(&xa, &b.batch(64));
             prop_assert!(xa.iter().all(|&i| i < rows));
         }
+    }
+
+    /// Reseeding one stream and filling a reused buffer draws exactly the
+    /// rows a fresh `zipf_lookup_rows` call draws, at any skew (the
+    /// uniform `s = 0` and the logarithmic `s = 1` branch included) and
+    /// whatever the stream and the buffer held before.
+    #[test]
+    fn reseed_and_fill_match_fresh_lookup_rows(
+        seed in 0u64..u64::MAX,
+        prior_seed in 0u64..u64::MAX,
+        n in 0usize..64,
+        rows in 1u64..5_000_000_000,
+        s in prop_oneof![Just(0.0f64), Just(1.0f64), 0.0f64..2.0],
+    ) {
+        let mut stream = IndexStream::new(Distribution::with_skew(s), rows, prior_seed);
+        let mut out = stream.batch(5);
+        stream.reseed(seed);
+        stream.fill(n, &mut out);
+        prop_assert_eq!(out, zipf_lookup_rows(n, rows, s, seed));
     }
 }
