@@ -3,13 +3,12 @@
 use std::error::Error;
 use std::fmt;
 
-use tensordimm_embedding::{Distribution, IndexStream};
 use tensordimm_exec::par_map;
 use tensordimm_faults::FaultPlan;
 use tensordimm_models::Workload;
 use tensordimm_serving::{
-    simulate, AdmissionPolicy, BatchPolicy, LatencySummary, OutcomeCounts, RequestOutcome,
-    RetryPolicy, SimConfig, SimError, SimReport,
+    simulate, AdmissionPolicy, BatchPolicy, Distribution, IndexStream, LatencySummary,
+    OutcomeCounts, RequestOutcome, RetryPolicy, SimConfig, SimError, SimReport,
 };
 use tensordimm_system::{DesignPoint, PricingBackend, SystemModel};
 

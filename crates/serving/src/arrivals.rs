@@ -26,8 +26,9 @@ use rand::{Rng, SeedableRng};
 // The Zipf row sampler lives in `tensordimm_embedding` (rejection
 // inversion, O(1) memory for any table size) so the cycle-calibrated batch
 // pricer in `tensordimm_system` can draw the identical streams without a
-// dependency cycle; re-exported here for backwards compatibility.
-pub use tensordimm_embedding::{hot_row_share, zipf_lookup_rows};
+// dependency cycle; re-exported here for backwards compatibility and for
+// callers that draw many requests' rows from one reseeded stream.
+pub use tensordimm_embedding::{hot_row_share, zipf_lookup_rows, Distribution, IndexStream};
 
 /// An open-loop request arrival process.
 #[derive(Debug, Clone, Copy, PartialEq)]
