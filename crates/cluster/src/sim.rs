@@ -723,6 +723,8 @@ pub fn simulate_cluster(
 
     // Walk the shards' records in the order `per_shard_arrivals` filled
     // their traces: `next[node]` is the next unclaimed record of `node`.
+    // A request's copies are gathered leg by leg; `rejoin` folds them
+    // with min/max, so their order does not matter.
     let mut next = vec![0usize; shards.len()];
     let mut subs: Vec<LegOutcome> = Vec::new();
     let horizon = cfg.horizon_us;
@@ -760,9 +762,6 @@ pub fn simulate_cluster(
                 ));
             }
         }
-        // Node order, as the shards hold them (the sort is stable, so a
-        // shard's copies keep their trace order).
-        subs.sort_by_key(|&(node, ..)| node);
         if !in_window {
             records.push(record);
             continue;

@@ -51,6 +51,30 @@
 //! heap internals, so [`simulate`] is bit-identical for identical inputs
 //! even with colliding timestamps (see the regression tests).
 //!
+//! # Event queue
+//!
+//! Pending events live in three kinds of store, and the next event is the
+//! earliest of their fronts under the order above (time, kind, then a
+//! creation sequence number):
+//!
+//! - an **arrival cursor** over the sorted trace — arrival `id` is the
+//!   event with sequence number `id`, so the `n` arrivals are never
+//!   queued at all, and every other event is numbered from `n` on;
+//! - three **timer FIFOs**, one each for batch-window flushes, deadlines
+//!   and hedge timers. Each timer is armed at `now + c` for a constant
+//!   `c` (the batch window, the deadline, the hedge delay; a deadline's
+//!   `now` is its arrival instant), and events are processed in
+//!   non-decreasing time, so each FIFO is filled in non-decreasing
+//!   `(time, sequence)` order and its front is its minimum. Debug builds
+//!   assert this on every push;
+//! - a small **binary heap** for the events armed at a variable delay:
+//!   GPU completions (at most one per GPU), backoff re-admissions and
+//!   fault transitions.
+//!
+//! Every event gets the same sequence number it would get in a single
+//! heap holding all of them, so the processing order — and with it every
+//! result — is the same as with one heap.
+//!
 //! Everything is deterministic: same model, configuration, fault plan,
 //! policies, pricing backend and arrival trace ⇒ bit-identical
 //! [`SimReport`]. The loop still *processes* timer events that trail the
@@ -588,8 +612,7 @@ impl Engine<'_> {
             }
         }
         match source {
-            None if best.is_some() => self.next_arrival += 1,
-            None => {}
+            None => self.next_arrival += usize::from(best.is_some()),
             Some(0) => {
                 self.heap.pop();
             }
