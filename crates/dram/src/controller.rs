@@ -5,6 +5,29 @@
 //! write draining, open- or closed-page row management, and all-bank
 //! refresh. One DRAM command may issue per controller cycle.
 //!
+//! # Per-bank scheduling decisions
+//!
+//! Under FR-FCFS every queued row hit of one bank shares one column-issue
+//! time, and every other queued entry of that bank shares one ACTIVATE (bank
+//! closed) or PRECHARGE (other row open) time. The event-driven path
+//! therefore evaluates one time per bank rather than one per request:
+//!
+//! * pass 1 issues the oldest row hit, by arrival sequence number, among
+//!   the banks whose hit time has come;
+//! * pass 2 issues the oldest front entry among the banks that have no
+//!   queued hit and whose preparatory command is ready. A bank with a
+//!   queued hit gets no pass-2 command: closing its row would throw the
+//!   hit away, and pass 1 will serve it first.
+//!
+//! Each queue keeps its requests in an arrival-ordered `VecDeque` and,
+//! beside it, each bank's `(seq, row)` pairs in arrival order, so the
+//! decision never walks the whole queue.
+//!
+//! [`MemoryController::tick`] keeps the original per-request scan in
+//! arrival order as the reference decision (O(queue) per cycle). The
+//! tick-vs-event equivalence suites thus check the per-bank decision
+//! against an independent implementation, not against itself.
+//!
 //! # Event-driven time skipping
 //!
 //! [`MemoryController::tick`] advances exactly one cycle and is the
@@ -17,13 +40,20 @@
 //! all timing state is frozen, so jumping to the horizon (while crediting
 //! the skipped span to [`ChannelStats::busy_cycles`]) is exactly
 //! equivalent to ticking through it.
+//!
+//! The horizon stays cached until a command issues or a request is
+//! enqueued. [`MemoryController::next_event_cycle`] shares that cache: it
+//! returns the cached horizon when one is valid and stores what it
+//! computes otherwise, so a co-simulation loop that asks for the next
+//! event and then advances to it scans the queues once, not twice.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::address::DramAddr;
 use crate::channel::ChannelState;
 use crate::command::DramCommand;
-use crate::config::{DramConfig, RowPolicy, SchedulerKind};
+use crate::config::{DramConfig, Geometry, RowPolicy, SchedulerKind};
 use crate::request::{Completion, Request, RequestKind};
 use crate::stats::ChannelStats;
 
@@ -32,10 +62,101 @@ struct QueuedRequest {
     request: Request,
     dram: DramAddr,
     enqueued_at: u64,
+    /// Arrival sequence number within its queue (increasing front to back).
+    seq: u64,
     /// The request had to activate a row (row miss).
     needed_activate: bool,
     /// The request had to close another row first (row conflict).
     needed_precharge: bool,
+}
+
+/// One request queue: the arrival-ordered store, plus each bank's queued
+/// `(seq, row)` pairs in arrival order beside it.
+#[derive(Debug, Clone)]
+struct RequestQueue {
+    entries: VecDeque<QueuedRequest>,
+    /// Indexed by channel-wide bank number
+    /// (`rank * banks_per_rank + bank_group * banks_per_group + bank`).
+    banks: Vec<Vec<(u64, usize)>>,
+    banks_per_rank: usize,
+    banks_per_group: usize,
+    next_seq: u64,
+}
+
+impl RequestQueue {
+    fn new(capacity: usize, geometry: &Geometry) -> Self {
+        let banks_per_rank = geometry.banks_per_rank();
+        RequestQueue {
+            entries: VecDeque::with_capacity(capacity),
+            banks: vec![Vec::new(); geometry.ranks_per_channel * banks_per_rank],
+            banks_per_rank,
+            banks_per_group: geometry.banks_per_group,
+            next_seq: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn bank_of(&self, dram: &DramAddr) -> usize {
+        dram.rank * self.banks_per_rank + dram.flat_bank(self.banks_per_group)
+    }
+
+    /// The per-bank `(seq, row)` lists of one rank, by flat bank index.
+    fn rank_banks(&self, rank: usize) -> &[Vec<(u64, usize)>] {
+        &self.banks[rank * self.banks_per_rank..(rank + 1) * self.banks_per_rank]
+    }
+
+    fn push(&mut self, request: Request, dram: DramAddr, enqueued_at: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let bank = self.bank_of(&dram);
+        self.banks[bank].push((seq, dram.row));
+        self.entries.push_back(QueuedRequest {
+            request,
+            dram,
+            enqueued_at,
+            seq,
+            needed_activate: false,
+            needed_precharge: false,
+        });
+    }
+
+    /// Store index of the queued entry with arrival number `seq`.
+    fn position(&self, seq: u64) -> usize {
+        self.entries
+            .binary_search_by_key(&seq, |q| q.seq)
+            .expect("indexed entries are queued")
+    }
+
+    fn remove(&mut self, index: usize) -> QueuedRequest {
+        let q = self
+            .entries
+            .remove(index)
+            .expect("scheduler chose an in-range queue index");
+        let bank = self.bank_of(&q.dram);
+        let list = &mut self.banks[bank];
+        let at = list
+            .iter()
+            .position(|&(seq, _)| seq == q.seq)
+            .expect("queued entries are indexed");
+        list.remove(at);
+        q
+    }
+}
+
+/// What one scheduling pass decided.
+enum Decision {
+    /// Issue `cmd` for the queued entry at store index `index`.
+    Issue { index: usize, cmd: DramCommand },
+    /// Nothing can issue before this cycle (`u64::MAX`: not without a
+    /// state change).
+    Wait(u64),
 }
 
 /// The column command a request maps to under the given row policy.
@@ -56,8 +177,8 @@ fn col_cmd(kind: RequestKind, policy: RowPolicy) -> DramCommand {
 pub struct MemoryController {
     config: DramConfig,
     state: ChannelState,
-    read_queue: VecDeque<QueuedRequest>,
-    write_queue: VecDeque<QueuedRequest>,
+    read_queue: RequestQueue,
+    write_queue: RequestQueue,
     write_mode: bool,
     cycle: u64,
     /// Latest in-flight data-burst completion time.
@@ -67,11 +188,12 @@ pub struct MemoryController {
     /// Cached `min` over ranks of `next_refresh_due`: the refresh machinery
     /// is provably inert before this cycle, so ticks skip the per-rank scan.
     next_refresh_due_min: u64,
-    /// Horizon left by the last non-acting step: no command can issue
+    /// Horizon left by the last non-acting step or computed by
+    /// [`MemoryController::next_event_cycle`]: no command can issue
     /// strictly before this cycle. Valid until the queues or timing state
     /// change (a command issues or a request is enqueued); lets repeated
     /// `advance_to` calls jump a known-idle span without rescanning.
-    cached_horizon: Option<u64>,
+    cached_horizon: Cell<Option<u64>>,
     /// Idle cycles the event-driven path jumped over (diagnostic; not part
     /// of [`ChannelStats`], which stays identical between both paths).
     idle_cycles_skipped: u64,
@@ -91,15 +213,15 @@ impl MemoryController {
             .unwrap_or(u64::MAX);
         MemoryController {
             state,
-            read_queue: VecDeque::with_capacity(config.read_queue_depth),
-            write_queue: VecDeque::with_capacity(config.write_queue_depth),
+            read_queue: RequestQueue::new(config.read_queue_depth, &config.geometry),
+            write_queue: RequestQueue::new(config.write_queue_depth, &config.geometry),
             write_mode: false,
             cycle: 0,
             last_burst_done: 0,
             completions: Vec::new(),
             stats: ChannelStats::default(),
             next_refresh_due_min,
-            cached_horizon: None,
+            cached_horizon: Cell::new(None),
             idle_cycles_skipped: 0,
             config,
         }
@@ -128,31 +250,18 @@ impl MemoryController {
     /// Offer a request (already decoded to a DRAM coordinate on this
     /// channel). Returns `false` when the corresponding queue is full.
     pub fn enqueue(&mut self, request: Request, dram: DramAddr) -> bool {
-        let queue_entry = QueuedRequest {
-            request,
-            dram,
-            enqueued_at: self.cycle,
-            needed_activate: false,
-            needed_precharge: false,
+        let (queue, depth) = match request.kind {
+            RequestKind::Read => (&mut self.read_queue, self.config.read_queue_depth),
+            RequestKind::Write => (&mut self.write_queue, self.config.write_queue_depth),
         };
-        match request.kind {
-            RequestKind::Read => {
-                if self.read_queue.len() >= self.config.read_queue_depth {
-                    return false;
-                }
-                self.read_queue.push_back(queue_entry);
-            }
-            RequestKind::Write => {
-                if self.write_queue.len() >= self.config.write_queue_depth {
-                    return false;
-                }
-                self.write_queue.push_back(queue_entry);
-            }
+        if queue.len() >= depth {
+            return false;
         }
+        queue.push(request, dram, self.cycle);
         // An accepted request can become issuable (or flip the write-drain
         // mode) before any previously computed horizon; a rejected one
         // returned above without touching state.
-        self.cached_horizon = None;
+        self.cached_horizon.set(None);
         true
     }
 
@@ -183,10 +292,11 @@ impl MemoryController {
     /// Advance one controller cycle, issuing at most one DRAM command.
     ///
     /// This is the bit-exact oracle the event-driven path is verified
-    /// against; prefer [`MemoryController::advance_to`] when simulating
-    /// long spans.
+    /// against: it decides with the reference per-request scan in arrival
+    /// order (see the module docs). Prefer
+    /// [`MemoryController::advance_to`] when simulating long spans.
     pub fn tick(&mut self) {
-        self.step_with_horizon();
+        self.step_with_horizon(false);
     }
 
     /// Advance to exactly `target`, issuing the same commands at the same
@@ -236,9 +346,10 @@ impl MemoryController {
 
     /// One event-engine iteration: jump over the cached known-idle span
     /// (clamped to `limit`), then — if still below `limit` or unbounded —
-    /// run one oracle step. Returns whether a command issued.
+    /// run one step with the per-bank decision. Returns whether a command
+    /// issued.
     fn event_step(&mut self, limit: u64) -> bool {
-        if let Some(horizon) = self.cached_horizon {
+        if let Some(horizon) = self.cached_horizon.get() {
             let jump_to = horizon.min(limit);
             if jump_to != u64::MAX && jump_to > self.cycle {
                 self.skip_idle_to(jump_to);
@@ -247,7 +358,7 @@ impl MemoryController {
                 return false;
             }
         }
-        let (acted, _) = self.step_with_horizon();
+        let (acted, _) = self.step_with_horizon(true);
         acted
     }
 
@@ -259,8 +370,31 @@ impl MemoryController {
     ///
     /// The value is a lower bound: landing on it and re-evaluating never
     /// misses an event, which is the invariant the event-driven engine
-    /// rests on.
+    /// rests on. It shares the step's cached horizon (module docs).
     pub fn next_event_cycle(&self) -> Option<u64> {
+        let now = self.cycle;
+        let mut horizon = match self.cached_horizon.get() {
+            Some(horizon) => horizon,
+            None => {
+                let horizon = self.command_horizon();
+                self.cached_horizon.set(Some(horizon));
+                horizon
+            }
+        };
+        if now < self.last_burst_done {
+            horizon = horizon.min(self.last_burst_done);
+        }
+        if horizon == u64::MAX {
+            None
+        } else {
+            Some(horizon.max(now))
+        }
+    }
+
+    /// What a non-acting step at the current cycle would leave in the
+    /// horizon cache: a lower bound on the next cycle the refresh
+    /// machinery could act or a queued command could issue.
+    fn command_horizon(&self) -> u64 {
         let now = self.cycle;
         let mut horizon = u64::MAX;
         if self.config.refresh_enabled {
@@ -273,22 +407,20 @@ impl MemoryController {
             }
         }
         if horizon > now {
-            horizon = horizon.min(self.schedule_horizon(now));
+            let schedule_horizon = match self.decide(self.next_write_mode(), true) {
+                Decision::Issue { .. } => now,
+                Decision::Wait(at) => at,
+            };
+            horizon = horizon.min(schedule_horizon);
         }
-        if now < self.last_burst_done {
-            horizon = horizon.min(self.last_burst_done);
-        }
-        if horizon == u64::MAX {
-            None
-        } else {
-            Some(horizon.max(now))
-        }
+        horizon
     }
 
-    /// One oracle cycle: account busy time, refresh or schedule, advance
-    /// the clock. Returns whether a command issued plus a lower bound on
-    /// the next cycle at which one could (meaningful only when idle).
-    fn step_with_horizon(&mut self) -> (bool, u64) {
+    /// One cycle: account busy time, refresh or schedule (per bank, or
+    /// with the reference scan when `by_bank` is false), advance the
+    /// clock. Returns whether a command issued plus a lower bound on the
+    /// next cycle at which one could (meaningful only when idle).
+    fn step_with_horizon(&mut self, by_bank: bool) -> (bool, u64) {
         if self.pending() > 0 {
             self.stats.busy_cycles += 1;
         }
@@ -305,14 +437,15 @@ impl MemoryController {
             }
         }
         if !acted {
-            let (issued, schedule_horizon) = self.schedule();
+            let (issued, schedule_horizon) = self.schedule(by_bank);
             acted = issued;
             horizon = horizon.min(schedule_horizon);
         }
         self.cycle += 1;
         // An issued command changes timing state, invalidating any cached
         // horizon; an idle step proves nothing can happen before `horizon`.
-        self.cached_horizon = if acted { None } else { Some(horizon) };
+        self.cached_horizon
+            .set(if acted { None } else { Some(horizon) });
         (acted, horizon)
     }
 
@@ -419,67 +552,165 @@ impl MemoryController {
         self.config.refresh_enabled && self.cycle >= self.state.ranks[rank].next_refresh_due
     }
 
-    /// FR-FCFS / FCFS scheduling pass. Returns whether a command issued,
-    /// plus (when nothing issued) the earliest cycle any queued request's
-    /// next command could become issuable.
-    fn schedule(&mut self) -> (bool, u64) {
-        let now = self.cycle;
+    /// One scheduling pass over the active queue. Returns whether a
+    /// command issued, plus (when nothing issued) the earliest cycle any
+    /// queued request's next command could become issuable.
+    fn schedule(&mut self, by_bank: bool) -> (bool, u64) {
         let serve_writes = self.write_mode;
+        match self.decide(serve_writes, by_bank) {
+            Decision::Wait(horizon) => (false, horizon),
+            Decision::Issue { index, cmd } => {
+                self.execute(index, cmd, serve_writes);
+                (true, u64::MAX)
+            }
+        }
+    }
+
+    /// The scheduling decision at the current cycle over the write queue
+    /// (`serve_writes`) or the read queue: per bank, or with the reference
+    /// scan when `by_bank` is false. FCFS only ever looks at the queue
+    /// head, so it always takes the reference scan.
+    fn decide(&self, serve_writes: bool, by_bank: bool) -> Decision {
+        let (queue, kind) = if serve_writes {
+            (&self.write_queue, RequestKind::Write)
+        } else {
+            (&self.read_queue, RequestKind::Read)
+        };
+        if by_bank && self.config.scheduler == SchedulerKind::FrFcfs {
+            self.decide_by_bank(queue, kind)
+        } else {
+            self.decide_in_arrival_order(queue)
+        }
+    }
+
+    /// The reference decision: walk the queue in arrival order, first for
+    /// the oldest row hit whose column command can issue now, then for the
+    /// oldest request whose next preparatory command can.
+    fn decide_in_arrival_order(&self, queue: &RequestQueue) -> Decision {
+        let now = self.cycle;
         let scan_limit = match self.config.scheduler {
             SchedulerKind::FrFcfs => usize::MAX,
             SchedulerKind::Fcfs => 1,
         };
-        let queue = if serve_writes {
-            &self.write_queue
-        } else {
-            &self.read_queue
-        };
-
         let mut horizon = u64::MAX;
-        let mut chosen: Option<(usize, DramCommand)> = None;
 
         // Pass 1: oldest row-hit request whose column command can issue now.
-        for (i, q) in queue.iter().enumerate().take(scan_limit) {
+        for (index, q) in queue.entries.iter().enumerate().take(scan_limit) {
             if self.refresh_blocked(q.dram.rank) {
                 continue;
             }
             if let Some(earliest) = self.col_candidate(q) {
                 if earliest <= now {
-                    chosen = Some((i, col_cmd(q.request.kind, self.config.row_policy)));
-                    break;
+                    let cmd = col_cmd(q.request.kind, self.config.row_policy);
+                    return Decision::Issue { index, cmd };
                 }
                 horizon = horizon.min(earliest);
             }
         }
 
         // Pass 2: oldest request whose next preparatory command can issue.
-        if chosen.is_none() {
-            for (i, q) in queue.iter().enumerate().take(scan_limit) {
-                if self.refresh_blocked(q.dram.rank) {
+        for (index, q) in queue.entries.iter().enumerate().take(scan_limit) {
+            if self.refresh_blocked(q.dram.rank) {
+                continue;
+            }
+            if let Some((earliest, cmd)) = self.prep_candidate(q, &queue.entries) {
+                if earliest <= now {
+                    return Decision::Issue { index, cmd };
+                }
+                horizon = horizon.min(earliest);
+            }
+        }
+        Decision::Wait(horizon)
+    }
+
+    /// The per-bank FR-FCFS decision of the event-driven path (module
+    /// docs): the same command for the same entry as
+    /// [`MemoryController::decide_in_arrival_order`], from one issue time
+    /// per bank.
+    fn decide_by_bank(&self, queue: &RequestQueue, kind: RequestKind) -> Decision {
+        let now = self.cycle;
+        let timing = &self.config.timing;
+        let col = col_cmd(kind, self.config.row_policy);
+        let banks_per_group = self.config.geometry.banks_per_group;
+        let mut horizon = u64::MAX;
+        // Arrival numbers of the oldest ready row hit (pass 1) and of the
+        // oldest ready front entry of a bank without a queued hit (pass 2).
+        // A bank whose entry is younger than the best so far cannot win, so
+        // its issue time is skipped — the horizon only matters when
+        // nothing is chosen, and then nothing was skipped.
+        let mut hit: Option<u64> = None;
+        let mut prep: Option<(u64, DramCommand)> = None;
+        for (rank_idx, rank) in self.state.ranks.iter().enumerate() {
+            if self.refresh_blocked(rank_idx) {
+                continue;
+            }
+            for (flat, entries) in queue.rank_banks(rank_idx).iter().enumerate() {
+                let Some(&(front, _)) = entries.first() else {
+                    continue;
+                };
+                let (bank_group, bank) = (flat / banks_per_group, flat % banks_per_group);
+                let open_row = rank.banks[flat].open_row;
+                let oldest_hit = open_row
+                    .and_then(|open| entries.iter().find(|&&(_, row)| row == open))
+                    .map(|&(seq, row)| (seq, row));
+                if let Some((seq, row)) = oldest_hit {
+                    if hit.is_none_or(|best| seq < best) {
+                        let addr = DramAddr {
+                            rank: rank_idx,
+                            bank_group,
+                            bank,
+                            row,
+                            ..DramAddr::default()
+                        };
+                        let earliest = self
+                            .state
+                            .earliest_issue(timing, col, &addr)
+                            .expect("the bank has the row open");
+                        if earliest <= now {
+                            hit = Some(seq);
+                        } else {
+                            horizon = horizon.min(earliest);
+                        }
+                    }
                     continue;
                 }
-                if let Some((earliest, cmd)) = self.prep_candidate(q, queue) {
+                // No queued hit: all of the bank's entries wait on one
+                // preparatory command, and its front entry is the oldest.
+                if hit.is_none() && prep.is_none_or(|(best, _)| front < best) {
+                    let (earliest, cmd) = match open_row {
+                        None => (
+                            rank.earliest_activate(timing, bank_group, bank),
+                            DramCommand::Activate,
+                        ),
+                        Some(_) => (
+                            rank.earliest_precharge(bank_group, bank),
+                            DramCommand::Precharge,
+                        ),
+                    };
                     if earliest <= now {
-                        chosen = Some((i, cmd));
-                        break;
+                        prep = Some((front, cmd));
+                    } else {
+                        horizon = horizon.min(earliest);
                     }
-                    horizon = horizon.min(earliest);
                 }
             }
         }
-
-        let Some((index, cmd)) = chosen else {
-            return (false, horizon);
-        };
-        self.execute(index, cmd, serve_writes);
-        (true, u64::MAX)
+        match (hit, prep) {
+            (Some(seq), _) => Decision::Issue {
+                index: queue.position(seq),
+                cmd: col,
+            },
+            (None, Some((seq, cmd))) => Decision::Issue {
+                index: queue.position(seq),
+                cmd,
+            },
+            (None, None) => Decision::Wait(horizon),
+        }
     }
 
-    /// Pass-1 candidate for one queued request: the earliest cycle its
-    /// column command could issue, or `None` unless the bank has the
-    /// request's row open. Shared by [`MemoryController::schedule`] and
-    /// [`MemoryController::schedule_horizon`] so the issue decision and
-    /// the lower bound cannot drift apart.
+    /// Pass-1 candidate for one queued request in the reference scan: the
+    /// earliest cycle its column command could issue, or `None` unless the
+    /// bank has the request's row open.
     fn col_candidate(&self, q: &QueuedRequest) -> Option<u64> {
         let rank = &self.state.ranks[q.dram.rank];
         let bank = &rank.banks[rank.bank_index(q.dram.bank_group, q.dram.bank)];
@@ -493,12 +724,10 @@ impl MemoryController {
         )
     }
 
-    /// Pass-2 candidate for one queued request: the earliest cycle its
-    /// preparatory command (ACTIVATE on a closed bank, PRECHARGE on a
-    /// conflicting row) could issue, or `None` when the row already
-    /// matches (pass-1 territory) or must stay open. Shared by
-    /// [`MemoryController::schedule`] and
-    /// [`MemoryController::schedule_horizon`].
+    /// Pass-2 candidate for one queued request in the reference scan: the
+    /// earliest cycle its preparatory command (ACTIVATE on a closed bank,
+    /// PRECHARGE on a conflicting row) could issue, or `None` when the row
+    /// already matches (pass-1 territory) or must stay open.
     fn prep_candidate(
         &self,
         q: &QueuedRequest,
@@ -536,39 +765,6 @@ impl MemoryController {
         }
     }
 
-    /// Read-only horizon of the scheduling passes: the earliest cycle any
-    /// queued request in the (next-cycle) active queue could issue its
-    /// next command. Built on the same per-request candidates as
-    /// [`MemoryController::schedule`].
-    fn schedule_horizon(&self, now: u64) -> u64 {
-        let serve_writes = self.next_write_mode();
-        let scan_limit = match self.config.scheduler {
-            SchedulerKind::FrFcfs => usize::MAX,
-            SchedulerKind::Fcfs => 1,
-        };
-        let queue = if serve_writes {
-            &self.write_queue
-        } else {
-            &self.read_queue
-        };
-        let mut horizon = u64::MAX;
-        for q in queue.iter().take(scan_limit) {
-            if self.refresh_blocked(q.dram.rank) {
-                continue;
-            }
-            let candidate = self
-                .col_candidate(q)
-                .or_else(|| self.prep_candidate(q, queue).map(|(earliest, _)| earliest));
-            if let Some(earliest) = candidate {
-                horizon = horizon.min(earliest);
-                if horizon <= now {
-                    break;
-                }
-            }
-        }
-        horizon
-    }
-
     fn execute(&mut self, index: usize, cmd: DramCommand, serve_writes: bool) {
         let MemoryController {
             config,
@@ -590,23 +786,21 @@ impl MemoryController {
         };
         match cmd {
             DramCommand::Activate => {
-                let q = &mut queue[index];
+                let q = &mut queue.entries[index];
                 q.needed_activate = true;
                 let dram = q.dram;
                 state.issue(timing, cmd, &dram, now);
                 stats.activates += 1;
             }
             DramCommand::Precharge => {
-                let q = &mut queue[index];
+                let q = &mut queue.entries[index];
                 q.needed_precharge = true;
                 let dram = q.dram;
                 state.issue(timing, cmd, &dram, now);
                 stats.precharges += 1;
             }
             DramCommand::Read | DramCommand::ReadAp | DramCommand::Write | DramCommand::WriteAp => {
-                let q = queue
-                    .remove(index)
-                    .expect("scheduler chose an in-range queue index");
+                let q = queue.remove(index);
                 state.issue(timing, cmd, &q.dram, now);
                 if cmd.auto_precharges() {
                     stats.precharges += 1;

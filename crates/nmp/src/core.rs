@@ -352,8 +352,10 @@ impl NmpCore {
                 }
             }
 
+            // A one-cycle advance is bit-identical to a tick (the engine
+            // contract) but takes the per-bank scheduling decision.
             if progressed {
-                memory.tick();
+                memory.advance_to(now + 1);
                 continue;
             }
 
@@ -370,8 +372,8 @@ impl NmpCore {
             }
             if wake == u64::MAX {
                 // Nothing to wait for (cannot happen while the loop
-                // condition holds, but never wedge): fall back to a tick.
-                memory.tick();
+                // condition holds, but never wedge): step one cycle.
+                memory.advance_to(now + 1);
                 continue;
             }
             let target = wake.max(now + 1);
