@@ -2,12 +2,18 @@
 //!
 //! [`Fabric`] forwards injected messages along the routes a
 //! [`FabricTopology`] computes, one link at a time, under finite per-link
-//! (and per-port) bandwidth. Time advances in fixed ticks; each tick the
-//! engine recomputes max-min fair rates for every message currently
-//! streaming on a link, so the measured completion times converge to the
-//! fluid allocation of the analytic [`Switch`](crate::Switch) as the tick
-//! shrinks — the agreement the `sweep_fabric` gate pins for the
+//! (and per-port) bandwidth. Time advances in fixed ticks; every message
+//! streaming on a link progresses at its max-min fair rate, so the
+//! measured completion times converge to the fluid allocation of the
+//! analytic [`Switch`](crate::Switch) as the tick shrinks — the agreement
+//! the `sweep_fabric` gate pins for the
 //! [`FullyConnected`](crate::fabric::FullyConnected) layout.
+//!
+//! The fair rates (and the per-link streaming counts behind the
+//! peak-demand counters) depend only on which messages stream on which
+//! hop, so the engine recomputes them only when that streaming set
+//! changes: on an injection, when a message starts streaming a hop, when
+//! it completes one, and on a delivery. Every other tick reuses them.
 //!
 //! Two pitfalls the exemplar literature names are load-bearing here:
 //!
@@ -20,8 +26,6 @@
 //!   false while any message is anywhere between handoff and final
 //!   delivery, and [`Fabric::run_until_idle`] drains them all; cutting a
 //!   run at "no new injections" would silently drop messages mid-route.
-
-use std::collections::HashMap;
 
 use crate::fabric::topology::{FabricTopology, LinkId};
 use crate::InterconnectError;
@@ -71,6 +75,16 @@ enum Phase {
     Streaming { remaining_bytes: f64 },
 }
 
+/// One hop of a route, resolved once at injection.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    /// Position of the hop's link in [`Fabric::links`] (and in the
+    /// per-link stats).
+    link: usize,
+    /// The bandwidth-sharing resources a traversal consumes.
+    uses: [usize; 3],
+}
+
 /// One message in flight, carrying its whole physical route and a cursor.
 #[derive(Debug, Clone)]
 struct InFlightMessage {
@@ -78,7 +92,7 @@ struct InFlightMessage {
     from: usize,
     to: usize,
     bytes: u64,
-    route: Vec<LinkId>,
+    route: Vec<Hop>,
     hop: usize,
     phase: Phase,
     injected_us: f64,
@@ -120,29 +134,23 @@ struct Resources {
     /// Resource count: `2 * nodes + links`.
     count: usize,
     nodes: usize,
-    link_index: HashMap<LinkId, usize>,
 }
 
 impl Resources {
     fn new(nodes: usize, links: &[LinkId]) -> Self {
-        let link_index = links
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, 2 * nodes + i))
-            .collect();
         Resources {
             count: 2 * nodes + links.len(),
             nodes,
-            link_index,
         }
     }
 
-    /// The three resources a traversal of `link` consumes.
-    fn of(&self, link: LinkId) -> [usize; 3] {
+    /// The three resources a traversal of `link`, the `index`-th physical
+    /// link, consumes.
+    fn of(&self, link: LinkId, index: usize) -> [usize; 3] {
         [
             link.from,              // egress port
             self.nodes + link.to,   // ingress port
-            self.link_index[&link], // the wire
+            2 * self.nodes + index, // the wire
         ]
     }
 }
@@ -176,6 +184,11 @@ pub struct Fabric {
     /// Bytes per µs per resource.
     cap: f64,
     in_flight: Vec<InFlightMessage>,
+    /// Fair rate of each in-flight message (zero unless streaming), valid
+    /// while `rates_stale` is false.
+    rates: Vec<f64>,
+    /// The streaming set changed since `rates` was computed.
+    rates_stale: bool,
     now_us: f64,
     next_id: u64,
     stats: FabricStats,
@@ -194,6 +207,8 @@ impl Fabric {
             links,
             cap,
             in_flight: Vec::new(),
+            rates: Vec::new(),
+            rates_stale: false,
             now_us: 0.0,
             next_id: 0,
             stats: FabricStats {
@@ -248,7 +263,22 @@ impl Fabric {
         to: usize,
         bytes: u64,
     ) -> Result<InjectReceipt, InterconnectError> {
-        let route = self.topo.route(from, to)?;
+        let route = self
+            .topo
+            .route(from, to)?
+            .into_iter()
+            .map(|link| {
+                let index = self
+                    .links
+                    .iter()
+                    .position(|&l| l == link)
+                    .expect("routed hops are physical links");
+                Hop {
+                    link: index,
+                    uses: self.resources.of(link, index),
+                }
+            })
+            .collect();
         let handoff_us = self.topo.local_handoff_us();
         let id = self.next_id;
         self.next_id += 1;
@@ -264,6 +294,7 @@ impl Fabric {
             },
             injected_us: self.now_us,
         });
+        self.rates_stale = true;
         self.stats.injected += 1;
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight.len());
         Ok(InjectReceipt { id, handoff_us })
@@ -285,10 +316,7 @@ impl Fabric {
         if streaming.is_empty() {
             return rate;
         }
-        let uses = |i: usize| {
-            self.resources
-                .of(self.in_flight[i].route[self.in_flight[i].hop])
-        };
+        let uses = |i: usize| self.in_flight[i].route[self.in_flight[i].hop].uses;
         loop {
             let mut residual = vec![self.cap; self.resources.count];
             let mut degree = vec![0usize; self.resources.count];
@@ -342,16 +370,22 @@ impl Fabric {
                 parameter: "tick_us",
             });
         }
-        let rates = self.fair_share_rates();
-        // Per-link concurrency at this tick, for the peak-demand counters.
-        for (link, stats) in &mut self.stats.per_link {
-            let on_link = self
-                .in_flight
-                .iter()
-                .filter(|m| matches!(m.phase, Phase::Streaming { .. }) && m.route[m.hop] == *link)
-                .count();
-            stats.peak_in_flight = stats.peak_in_flight.max(on_link);
+        if self.rates_stale {
+            self.rates = self.fair_share_rates();
+            // Per-link concurrency of the new streaming set, for the
+            // peak-demand counters (unchanged until the set changes).
+            let mut on_link = vec![0usize; self.links.len()];
+            for m in &self.in_flight {
+                if matches!(m.phase, Phase::Streaming { .. }) {
+                    on_link[m.route[m.hop].link] += 1;
+                }
+            }
+            for ((_, stats), count) in self.stats.per_link.iter_mut().zip(on_link) {
+                stats.peak_in_flight = stats.peak_in_flight.max(count);
+            }
+            self.rates_stale = false;
         }
+        let rates = &self.rates;
         self.now_us += tick_us;
         let now = self.now_us;
         let hop_latency = self.topo.hop_latency_us();
@@ -390,6 +424,7 @@ impl Fabric {
                         m.phase = Phase::Streaming {
                             remaining_bytes: m.bytes as f64,
                         };
+                        self.rates_stale = true;
                     }
                 }
                 Phase::Streaming { remaining_bytes } => {
@@ -400,13 +435,8 @@ impl Fabric {
                 }
             }
             if hop_completed {
-                let link = m.route[m.hop];
-                let (_, stats) = self
-                    .stats
-                    .per_link
-                    .iter_mut()
-                    .find(|(l, _)| *l == link)
-                    .expect("routed hops are physical links");
+                self.rates_stale = true;
+                let (_, stats) = &mut self.stats.per_link[m.route[m.hop].link];
                 stats.forwarded_messages += 1;
                 stats.forwarded_bytes += m.bytes;
                 m.hop += 1;
@@ -428,9 +458,12 @@ impl Fabric {
                 }
             }
         }
-        let done: Vec<u64> = delivered.iter().map(|d| d.id).collect();
-        self.in_flight.retain(|m| !done.contains(&m.id));
-        self.stats.delivered += done.len() as u64;
+        if !delivered.is_empty() {
+            let done: Vec<u64> = delivered.iter().map(|d| d.id).collect();
+            self.in_flight.retain(|m| !done.contains(&m.id));
+            self.stats.delivered += done.len() as u64;
+            self.rates_stale = true;
+        }
         Ok(delivered)
     }
 
