@@ -36,7 +36,7 @@ use tensordimm_embedding::zipf_lookup_rows;
 use tensordimm_interconnect::InterconnectError;
 use tensordimm_isa::{AccessPlan, DimmContext, Instruction};
 use tensordimm_models::Workload;
-use tensordimm_nmp::{NmpConfig, NmpCore};
+use tensordimm_nmp::{NmpConfig, NmpCore, NmpError};
 
 use crate::design::DesignPoint;
 use crate::model::SystemModel;
@@ -512,17 +512,24 @@ impl<'a> CyclePricer<'a> {
     /// under the state's write lock, so concurrent readers either finish
     /// on the old `(config, table)` pair or start on the new one — never
     /// a mix.
-    pub fn set_config(&self, config: CyclePricerConfig) {
-        *self.state.write().expect("state lock") = CycleState::fresh(config);
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`NmpError`] an NMP core would raise for the new
+    /// configuration; the knobs and the table are then left untouched, so
+    /// later replays never meet an invalid configuration.
+    pub fn set_config(&self, config: CyclePricerConfig) -> Result<(), NmpError> {
+        self.reconfigure(|current| *current = config)
     }
 
     /// Replace only the local-DRAM configuration (e.g. a timing or
     /// scheduler knob), invalidating the latency table.
-    pub fn set_dram_config(&self, dram: DramConfig) {
-        let mut state = self.state.write().expect("state lock");
-        let mut config = state.config.clone();
-        config.nmp.dram = dram;
-        *state = CycleState::fresh(config);
+    ///
+    /// # Errors
+    ///
+    /// As [`CyclePricer::set_config`].
+    pub fn set_dram_config(&self, dram: DramConfig) -> Result<(), NmpError> {
+        self.reconfigure(|config| config.nmp.dram = dram)
     }
 
     /// Replace only the hot-row cache configuration, invalidating the
@@ -530,11 +537,23 @@ impl<'a> CyclePricer<'a> {
     /// must never be served for the new one). The fingerprint is also in
     /// [`CycleKey`], so even a stale read could not alias — the clear
     /// keeps the table from accumulating dead entries.
-    pub fn set_hot_row_config(&self, hot_rows: HotRowCacheConfig) {
+    ///
+    /// # Errors
+    ///
+    /// As [`CyclePricer::set_config`].
+    pub fn set_hot_row_config(&self, hot_rows: HotRowCacheConfig) -> Result<(), NmpError> {
+        self.reconfigure(|config| config.nmp.hot_rows = hot_rows)
+    }
+
+    /// Apply `change` to the knobs and start a fresh table — only if the
+    /// changed NMP configuration validates.
+    fn reconfigure(&self, change: impl FnOnce(&mut CyclePricerConfig)) -> Result<(), NmpError> {
         let mut state = self.state.write().expect("state lock");
         let mut config = state.config.clone();
-        config.nmp.hot_rows = hot_rows;
+        change(&mut config);
+        NmpCore::new(config.nmp.clone())?;
         *state = CycleState::fresh(config);
+        Ok(())
     }
 
     /// Entries currently memoized (initialized cells only).
@@ -846,7 +865,7 @@ mod tests {
         // bandwidth must drop.
         let mut dram = pricer.config().nmp.dram;
         dram.timing.clock_mhz /= 2;
-        pricer.set_dram_config(dram);
+        pricer.set_dram_config(dram).expect("valid DRAM config");
         assert_eq!(pricer.cached_entries(), 0, "stale entries must be dropped");
         let after = pricer.measured_node_gbps(&w, 8);
         assert!(
@@ -857,10 +876,43 @@ mod tests {
         // set_config likewise clears.
         let mut cfg = pricer.config();
         cfg.dimms = 16;
-        pricer.set_config(cfg);
+        pricer.set_config(cfg).expect("valid config");
         assert_eq!(pricer.cached_entries(), 0);
         // Every replay above was a distinct cold measurement.
         assert_eq!(pricer.replay_count(), 2);
+    }
+
+    #[test]
+    fn invalid_setter_config_is_rejected_and_pricing_still_works() {
+        let model = SystemModel::paper_defaults();
+        let pricer = quick_pricer(&model);
+        let w = Workload::facebook();
+        pricer.price(&w, 4, DesignPoint::Tdimm, 1).expect("valid");
+        let before = pricer.config();
+
+        let mut dram = before.nmp.dram.clone();
+        dram.write_low_watermark = dram.write_high_watermark;
+        assert!(matches!(
+            pricer.set_dram_config(dram),
+            Err(NmpError::Dram(_))
+        ));
+        let mut hot_rows = HotRowCacheConfig::fully_associative(64);
+        hot_rows.ways = 3;
+        assert!(matches!(
+            pricer.set_hot_row_config(hot_rows),
+            Err(NmpError::Cache(_))
+        ));
+        let mut config = before.clone();
+        config.nmp.input_queue_bytes = 0;
+        assert!(pricer.set_config(config).is_err());
+
+        // The rejected setters left the knobs and the table untouched, and
+        // a cold replay afterwards runs on the valid configuration.
+        assert_eq!(pricer.config(), before);
+        assert_eq!(pricer.cached_entries(), 1);
+        let cost = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
+        assert!(cost.service_us.is_finite() && cost.service_us > 0.0);
+        assert_eq!(pricer.cached_entries(), 2);
     }
 
     #[test]
@@ -1033,7 +1085,9 @@ mod tests {
         assert_eq!(uncached_keys[0].0 .5, 0, "disabled cache fingerprints 0");
 
         // A cache sized for the whole replayed trace's hot head.
-        pricer.set_hot_row_config(HotRowCacheConfig::fully_associative(100_000));
+        pricer
+            .set_hot_row_config(HotRowCacheConfig::fully_associative(100_000))
+            .expect("valid cache geometry");
         assert_eq!(pricer.cached_entries(), 0, "setter invalidates");
         let cached = pricer.measured_node_gbps(&w, 16);
         let stats = pricer.measured_hot_rows(&w, 16);

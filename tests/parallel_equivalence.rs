@@ -268,13 +268,15 @@ fn invalidation_races_concurrent_readers_safely() {
             for _ in 0..3 {
                 let mut dram = pricer.config().nmp.dram;
                 dram.timing.clock_mhz /= 2;
-                pricer.set_dram_config(dram);
+                pricer.set_dram_config(dram).expect("valid DRAM config");
             }
         });
     });
     // Post-race: the table reflects the final (eighth-clock) config only.
     let final_config = pricer.config();
-    pricer.set_config(final_config.clone());
+    pricer
+        .set_config(final_config.clone())
+        .expect("valid config");
     let slow = pricer.measured_node_gbps(&w, 8);
     let reference = CyclePricer::with_config(&model, final_config);
     assert_eq!(
