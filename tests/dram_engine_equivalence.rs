@@ -6,14 +6,18 @@
 //! `run_to_completion_ticked`): same completions in the same order, same
 //! final cycle, same `ChannelStats` down to `busy_cycles`. These tests
 //! drive both paths over randomized traces spanning every scheduler /
-//! row-policy / refresh combination.
+//! row-policy / refresh combination, the cycle pricer's deep queues and
+//! watermarks, and a two-rank geometry. The event path decides FR-FCFS
+//! per bank while the tick path keeps the per-request scan, so these
+//! suites check one decision against the other.
 
 use proptest::prelude::*;
 
 use tensordimm::dram::{
-    Completion, DramConfig, MemoryStats, MemorySystem, Request, RowPolicy, SchedulerKind, Trace,
-    TraceEntry, TraceRunner,
+    Completion, DramConfig, MappingScheme, MemoryStats, MemorySystem, Request, RowPolicy,
+    SchedulerKind, Trace, TraceEntry, TraceRunner,
 };
+use tensordimm::system::CyclePricerConfig;
 
 /// Run one trace through both engine paths and return
 /// `(stats, completions, final_cycle, skipped)` per path.
@@ -39,21 +43,56 @@ fn both_paths(cfg: &DramConfig, trace: &Trace) -> [(MemoryStats, Vec<Completion>
     out.try_into().expect("two paths")
 }
 
+/// The memory geometries of the grid.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// One four-rank DDR4-3200 channel (a TensorDIMM's local memory).
+    OneChannel,
+    /// Two four-rank channels behind a channel-interleaved mapping.
+    TwoChannels,
+    /// Two channels of two ranks each.
+    TwoRanks,
+}
+
 fn config(
     scheduler: SchedulerKind,
     row_policy: RowPolicy,
     refresh: bool,
-    channels: usize,
+    layout: Layout,
 ) -> DramConfig {
-    let mut cfg = if channels == 1 {
-        DramConfig::ddr4_3200_channel()
-    } else {
-        DramConfig::cpu_memory(channels)
+    let mut cfg = match layout {
+        Layout::OneChannel => DramConfig::ddr4_3200_channel(),
+        Layout::TwoChannels => DramConfig::cpu_memory(2),
+        Layout::TwoRanks => {
+            let mut cfg = DramConfig::cpu_memory(2);
+            cfg.geometry.ranks_per_channel = 2;
+            cfg.mapping = MappingScheme::channel_interleaved(&cfg.geometry);
+            cfg
+        }
     };
     cfg.scheduler = scheduler;
     cfg.row_policy = row_policy;
     cfg.refresh_enabled = refresh;
     cfg
+}
+
+/// `cfg` with the cycle pricer's replay queue depths and write
+/// watermarks.
+fn pricer_queues(mut cfg: DramConfig) -> DramConfig {
+    let pricer = CyclePricerConfig::paper_defaults().nmp.dram;
+    cfg.read_queue_depth = pricer.read_queue_depth;
+    cfg.write_queue_depth = pricer.write_queue_depth;
+    cfg.write_high_watermark = pricer.write_high_watermark;
+    cfg.write_low_watermark = pricer.write_low_watermark;
+    cfg
+}
+
+fn pick_layout(pick: u8) -> Layout {
+    match pick {
+        0 => Layout::OneChannel,
+        1 => Layout::TwoChannels,
+        _ => Layout::TwoRanks,
+    }
 }
 
 fn build_trace(ops: &[(u8, u64, u64)], capacity: u64) -> Trace {
@@ -87,12 +126,15 @@ proptest! {
         scheduler_pick in 0u8..2,
         policy_pick in 0u8..2,
         refresh in 0u8..2,
-        channels_pick in 0u8..2,
+        layout_pick in 0u8..3,
+        deep_queues in 0u8..2,
     ) {
         let scheduler = if scheduler_pick == 0 { SchedulerKind::FrFcfs } else { SchedulerKind::Fcfs };
         let policy = if policy_pick == 0 { RowPolicy::OpenPage } else { RowPolicy::ClosedPage };
-        let channels = if channels_pick == 0 { 1 } else { 2 };
-        let cfg = config(scheduler, policy, refresh == 1, channels);
+        let mut cfg = config(scheduler, policy, refresh == 1, pick_layout(layout_pick));
+        if deep_queues == 1 {
+            cfg = pricer_queues(cfg);
+        }
         let trace = build_trace(&ops, cfg.capacity_bytes());
 
         let [(o_stats, o_done, o_cycle, o_skip), (f_stats, f_done, f_cycle, f_skip)] =
@@ -120,7 +162,7 @@ proptest! {
         refresh in 0u8..2,
     ) {
         let scheduler = if scheduler_pick == 0 { SchedulerKind::FrFcfs } else { SchedulerKind::Fcfs };
-        let cfg = config(scheduler, RowPolicy::OpenPage, refresh == 1, 1);
+        let cfg = config(scheduler, RowPolicy::OpenPage, refresh == 1, Layout::OneChannel);
         // Map the tiny address space over two rows of a few banks so open
         // rows are constantly contested.
         let window = 1u64 << 20;
@@ -135,6 +177,97 @@ proptest! {
         prop_assert_eq!(&o_stats, &f_stats);
         prop_assert_eq!(o_done, f_done);
         prop_assert_eq!(o_cycle, f_cycle);
+    }
+
+    /// Write bursts past the pricer's 192-entry high watermark with reads
+    /// queued behind them, on narrow address windows: write-drain mode
+    /// switches back and forth while every bank holds a mix of hits and
+    /// conflicts — the regime where the per-bank decision and the queue
+    /// order interact most.
+    #[test]
+    fn event_path_matches_oracle_with_pricer_queues(
+        bursts in prop::collection::vec((200usize..280, 0usize..80, 0u64..4096), 1..3),
+        policy_pick in 0u8..2,
+        refresh in 0u8..2,
+        two_ranks in 0u8..2,
+    ) {
+        let policy = if policy_pick == 0 { RowPolicy::OpenPage } else { RowPolicy::ClosedPage };
+        let layout = if two_ranks == 1 { Layout::TwoRanks } else { Layout::OneChannel };
+        let cfg = pricer_queues(config(SchedulerKind::FrFcfs, policy, refresh == 1, layout));
+        let window = 1u64 << 22;
+        let mut ops = Vec::new();
+        for &(writes, reads, salt) in &bursts {
+            for i in 0..(writes + reads) as u64 {
+                let kind = u8::from(i < writes as u64);
+                ops.push((kind, (salt + i * 4099) % (window / 64), 0));
+            }
+        }
+        let trace = build_trace(&ops, window);
+
+        let [(o_stats, o_done, o_cycle, _), (f_stats, f_done, f_cycle, _)] =
+            both_paths(&cfg, &trace);
+        prop_assert_eq!(&o_stats, &f_stats);
+        prop_assert_eq!(o_done, f_done);
+        prop_assert_eq!(o_cycle, f_cycle);
+    }
+
+    /// `next_event_cycle` shares the step's horizon cache and fills it when
+    /// it is empty. Asking for the next event before every push and every
+    /// advance must change nothing: the same completions and the same
+    /// per-channel statistics as a run that never asks.
+    #[test]
+    fn probing_next_event_cycle_changes_nothing(
+        ops in prop::collection::vec((0u8..2, 0u64..u64::MAX, 0u64..300), 1..150),
+        policy_pick in 0u8..2,
+        refresh in 0u8..2,
+        layout_pick in 0u8..3,
+        deep_queues in 0u8..2,
+    ) {
+        let policy = if policy_pick == 0 { RowPolicy::OpenPage } else { RowPolicy::ClosedPage };
+        let mut cfg = config(SchedulerKind::FrFcfs, policy, refresh == 1, pick_layout(layout_pick));
+        if deep_queues == 1 {
+            cfg = pricer_queues(cfg);
+        }
+        let trace = build_trace(&ops, cfg.capacity_bytes());
+        let run = |probe: bool| {
+            let mut mem = MemorySystem::new(cfg.clone()).expect("valid config");
+            let mut wakes = Vec::new();
+            let mut probe_now = |mem: &MemorySystem| {
+                if probe {
+                    let wake = mem.next_event_cycle();
+                    if let Some(at) = wake {
+                        assert!(at >= mem.cycle(), "next event lies in the past");
+                    }
+                    wakes.push(wake);
+                }
+            };
+            for entry in trace.entries() {
+                if mem.cycle() < entry.not_before {
+                    probe_now(&mem);
+                    mem.advance_to(entry.not_before);
+                }
+                loop {
+                    probe_now(&mem);
+                    if mem.push(entry.request).expect("in range") {
+                        break;
+                    }
+                    let next = mem.cycle() + 1;
+                    mem.advance_to(next);
+                }
+            }
+            while mem.is_busy() {
+                probe_now(&mem);
+                let next = mem.cycle() + 1;
+                mem.advance_to(next);
+            }
+            (mem.stats(), mem.drain_completions(), mem.cycle())
+        };
+        let (plain_stats, plain_done, plain_cycle) = run(false);
+        let (probed_stats, probed_done, probed_cycle) = run(true);
+        prop_assert_eq!(&plain_stats, &probed_stats, "stats diverged");
+        prop_assert_eq!(plain_done, probed_done, "completion streams diverged");
+        prop_assert_eq!(plain_cycle, probed_cycle);
+        prop_assert_eq!(plain_stats.totals.reads + plain_stats.totals.writes, trace.len() as u64);
     }
 }
 
