@@ -317,7 +317,7 @@ mod tests {
             op: ReduceOp::Add,
         };
         let node_dim = 8u64;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut total = 0usize;
         for tid in 0..node_dim {
             let plan = AccessPlan::for_dimm(&r, DimmContext::new(node_dim, tid), None).unwrap();
