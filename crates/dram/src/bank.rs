@@ -65,8 +65,15 @@ impl Rank {
 
     /// Earliest cycle an ACTIVATE to `(bank_group, bank)` may issue.
     pub fn earliest_activate(&self, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
-        let mut earliest = self.banks[self.bank_index(bank_group, bank)].next_act;
-        earliest = earliest.max(self.refresh_busy_until);
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_act
+            .max(self.activate_floor(t, bank_group))
+    }
+
+    /// The part of [`Rank::earliest_activate`] every bank of `bank_group`
+    /// shares: refresh, tRRD and tFAW (all but the bank's own `next_act`).
+    pub fn activate_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
+        let mut earliest = self.refresh_busy_until;
         for (bg, last) in self.last_act.iter().enumerate() {
             if let Some(at) = last {
                 let spacing = if bg == bank_group { t.trrd_l } else { t.trrd_s };
@@ -82,8 +89,15 @@ impl Rank {
     /// Earliest cycle a READ to `(bank_group, bank)` may issue,
     /// considering only rank-internal constraints.
     pub fn earliest_read(&self, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
-        let mut earliest = self.banks[self.bank_index(bank_group, bank)].next_rd;
-        earliest = earliest.max(self.refresh_busy_until);
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_rd
+            .max(self.read_floor(t, bank_group))
+    }
+
+    /// The part of [`Rank::earliest_read`] every bank of `bank_group`
+    /// shares: refresh, CAS-to-CAS spacing and write-to-read turnaround.
+    pub fn read_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
+        let mut earliest = self.refresh_busy_until;
         for bg in 0..self.last_rd.len() {
             let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
             if let Some(at) = self.last_rd[bg] {
@@ -106,8 +120,15 @@ impl Rank {
     /// Earliest cycle a WRITE to `(bank_group, bank)` may issue,
     /// considering only rank-internal constraints.
     pub fn earliest_write(&self, t: &DramTiming, bank_group: usize, bank: usize) -> u64 {
-        let mut earliest = self.banks[self.bank_index(bank_group, bank)].next_wr;
-        earliest = earliest.max(self.refresh_busy_until);
+        self.banks[self.bank_index(bank_group, bank)]
+            .next_wr
+            .max(self.write_floor(t, bank_group))
+    }
+
+    /// The part of [`Rank::earliest_write`] every bank of `bank_group`
+    /// shares: refresh and CAS-to-CAS spacing.
+    pub fn write_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
+        let mut earliest = self.refresh_busy_until;
         for bg in 0..self.last_wr.len() {
             let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
             if let Some(at) = self.last_rd[bg] {

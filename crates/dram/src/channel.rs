@@ -85,31 +85,54 @@ impl ChannelState {
                 }
                 Some(earliest)
             }
-            DramCommand::Read | DramCommand::ReadAp => {
-                let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
-                if bank.open_row != Some(addr.row) {
-                    return None;
-                }
-                let earliest = rank
-                    .earliest_read(t, addr.bank_group, addr.bank)
-                    .max(self.bus_free_from(t, addr.rank, t.cl));
-                Some(earliest)
-            }
-            DramCommand::Write | DramCommand::WriteAp => {
-                let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
-                if bank.open_row != Some(addr.row) {
-                    return None;
-                }
-                let mut earliest = rank
-                    .earliest_write(t, addr.bank_group, addr.bank)
-                    .max(self.bus_free_from(t, addr.rank, t.cwl));
-                if let Some(at) = self.last_read_cmd {
-                    earliest = earliest.max(at + t.read_to_write());
-                }
-                Some(earliest)
+            DramCommand::Read | DramCommand::ReadAp | DramCommand::Write | DramCommand::WriteAp => {
+                let floor = self.column_floor(t, cmd, addr.rank, addr.bank_group);
+                self.earliest_column(cmd, addr, floor)
             }
             DramCommand::Refresh => Some(rank.earliest_refresh()),
         }
+    }
+
+    /// The part of a column command's [`ChannelState::earliest_issue`]
+    /// that every bank of `bank_group` in `rank` shares: the rank's CAS
+    /// spacing and turnarounds, refresh, and the shared data bus.
+    pub fn column_floor(
+        &self,
+        t: &DramTiming,
+        cmd: DramCommand,
+        rank: usize,
+        bank_group: usize,
+    ) -> u64 {
+        let r = &self.ranks[rank];
+        if cmd.is_read() {
+            r.read_floor(t, bank_group)
+                .max(self.bus_free_from(t, rank, t.cl))
+        } else {
+            let mut earliest = r
+                .write_floor(t, bank_group)
+                .max(self.bus_free_from(t, rank, t.cwl));
+            if let Some(at) = self.last_read_cmd {
+                earliest = earliest.max(at + t.read_to_write());
+            }
+            earliest
+        }
+    }
+
+    /// Earliest cycle column command `cmd` could issue to `addr`, given
+    /// the [`ChannelState::column_floor`] of its bank group; `None` unless
+    /// the bank has `addr.row` open.
+    pub fn earliest_column(&self, cmd: DramCommand, addr: &DramAddr, floor: u64) -> Option<u64> {
+        let rank = &self.ranks[addr.rank];
+        let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
+        if bank.open_row != Some(addr.row) {
+            return None;
+        }
+        let own = if cmd.is_read() {
+            bank.next_rd
+        } else {
+            bank.next_wr
+        };
+        Some(own.max(floor))
     }
 
     /// Whether `cmd` may issue to `addr` at `cycle`.

@@ -78,6 +78,9 @@ struct RequestQueue {
     /// Indexed by channel-wide bank number
     /// (`rank * banks_per_rank + bank_group * banks_per_group + bank`).
     banks: Vec<Vec<(u64, usize)>>,
+    /// Bit `b % 64` of word `b / 64` is set while bank `b` has queued
+    /// entries, so a decision visits only occupied banks.
+    occupied: Vec<u64>,
     banks_per_rank: usize,
     banks_per_group: usize,
     next_seq: u64,
@@ -86,9 +89,11 @@ struct RequestQueue {
 impl RequestQueue {
     fn new(capacity: usize, geometry: &Geometry) -> Self {
         let banks_per_rank = geometry.banks_per_rank();
+        let banks = geometry.ranks_per_channel * banks_per_rank;
         RequestQueue {
             entries: VecDeque::with_capacity(capacity),
-            banks: vec![Vec::new(); geometry.ranks_per_channel * banks_per_rank],
+            banks: vec![Vec::new(); banks],
+            occupied: vec![0; banks.div_ceil(64)],
             banks_per_rank,
             banks_per_group: geometry.banks_per_group,
             next_seq: 0,
@@ -107,9 +112,22 @@ impl RequestQueue {
         dram.rank * self.banks_per_rank + dram.flat_bank(self.banks_per_group)
     }
 
-    /// The per-bank `(seq, row)` lists of one rank, by flat bank index.
-    fn rank_banks(&self, rank: usize) -> &[Vec<(u64, usize)>] {
-        &self.banks[rank * self.banks_per_rank..(rank + 1) * self.banks_per_rank]
+    /// Channel-wide numbers of the banks with queued entries, ascending.
+    fn occupied_banks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.occupied
+            .iter()
+            .enumerate()
+            .flat_map(|(word_index, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some(word_index * 64 + bit)
+                })
+            })
     }
 
     fn push(&mut self, request: Request, dram: DramAddr, enqueued_at: u64) {
@@ -117,6 +135,7 @@ impl RequestQueue {
         self.next_seq += 1;
         let bank = self.bank_of(&dram);
         self.banks[bank].push((seq, dram.row));
+        self.occupied[bank / 64] |= 1 << (bank % 64);
         self.entries.push_back(QueuedRequest {
             request,
             dram,
@@ -146,6 +165,9 @@ impl RequestQueue {
             .position(|&(seq, _)| seq == q.seq)
             .expect("queued entries are indexed");
         list.remove(at);
+        if list.is_empty() {
+            self.occupied[bank / 64] &= !(1 << (bank % 64));
+        }
         q
     }
 }
@@ -194,6 +216,11 @@ pub struct MemoryController {
     /// change (a command issues or a request is enqueued); lets repeated
     /// `advance_to` calls jump a known-idle span without rescanning.
     cached_horizon: Cell<Option<u64>>,
+    /// A command [`MemoryController::next_event_cycle`] found issuable at
+    /// the current cycle, as `(cycle, store index, command)`: the step at
+    /// that cycle issues it without deciding again. Dropped by an enqueue
+    /// and consumed (or outdated) by the next step.
+    ready_issue: Cell<Option<(u64, usize, DramCommand)>>,
     /// Idle cycles the event-driven path jumped over (diagnostic; not part
     /// of [`ChannelStats`], which stays identical between both paths).
     idle_cycles_skipped: u64,
@@ -222,6 +249,7 @@ impl MemoryController {
             stats: ChannelStats::default(),
             next_refresh_due_min,
             cached_horizon: Cell::new(None),
+            ready_issue: Cell::new(None),
             idle_cycles_skipped: 0,
             config,
         }
@@ -259,9 +287,11 @@ impl MemoryController {
         }
         queue.push(request, dram, self.cycle);
         // An accepted request can become issuable (or flip the write-drain
-        // mode) before any previously computed horizon; a rejected one
-        // returned above without touching state.
+        // mode) before any previously computed horizon, or win over a
+        // command found ready; a rejected one returned above without
+        // touching state.
         self.cached_horizon.set(None);
+        self.ready_issue.set(None);
         true
     }
 
@@ -408,7 +438,10 @@ impl MemoryController {
         }
         if horizon > now {
             let schedule_horizon = match self.decide(self.next_write_mode(), true) {
-                Decision::Issue { .. } => now,
+                Decision::Issue { index, cmd } => {
+                    self.ready_issue.set(Some((now, index, cmd)));
+                    now
+                }
                 Decision::Wait(at) => at,
             };
             horizon = horizon.min(schedule_horizon);
@@ -450,13 +483,18 @@ impl MemoryController {
     }
 
     /// Jump the clock to `cycle`, crediting the skipped span to the same
-    /// counters a tick-by-tick run would have touched (only `busy_cycles`
-    /// changes during command-free cycles).
+    /// state a tick-by-tick run would have touched: `busy_cycles`, and the
+    /// write-drain mode each skipped step refreshes first. With the queues
+    /// unchanged over the span, refreshing it once is the same as every
+    /// cycle — and it is needed: a horizon computed by
+    /// [`MemoryController::next_event_cycle`] right after an issue skips
+    /// the step that would see the shorter queue.
     fn skip_idle_to(&mut self, cycle: u64) {
         let span = cycle - self.cycle;
         if self.pending() > 0 {
             self.stats.busy_cycles += span;
         }
+        self.update_mode();
         self.idle_cycles_skipped += span;
         self.cycle = cycle;
     }
@@ -557,7 +595,14 @@ impl MemoryController {
     /// queued request's next command could become issuable.
     fn schedule(&mut self, by_bank: bool) -> (bool, u64) {
         let serve_writes = self.write_mode;
-        match self.decide(serve_writes, by_bank) {
+        // The state has not changed since `next_event_cycle` decided at
+        // this cycle (under the same write-drain mode), so neither has the
+        // decision.
+        let decision = match self.ready_issue.take() {
+            Some((at, index, cmd)) if by_bank && at == self.cycle => Decision::Issue { index, cmd },
+            _ => self.decide(serve_writes, by_bank),
+        };
+        match decision {
             Decision::Wait(horizon) => (false, horizon),
             Decision::Issue { index, cmd } => {
                 self.execute(index, cmd, serve_writes);
@@ -640,58 +685,75 @@ impl MemoryController {
         // nothing is chosen, and then nothing was skipped.
         let mut hit: Option<u64> = None;
         let mut prep: Option<(u64, DramCommand)> = None;
-        for (rank_idx, rank) in self.state.ranks.iter().enumerate() {
+        // The rank- and bank-group-wide parts of the issue times, computed
+        // once per group: banks come in ascending order, group by group.
+        let mut group = usize::MAX;
+        let mut col_floor = None;
+        let mut act_floor = None;
+        for bank_id in queue.occupied_banks() {
+            if bank_id / banks_per_group != group {
+                group = bank_id / banks_per_group;
+                col_floor = None;
+                act_floor = None;
+            }
+            let (rank_idx, flat) = (
+                bank_id / queue.banks_per_rank,
+                bank_id % queue.banks_per_rank,
+            );
             if self.refresh_blocked(rank_idx) {
                 continue;
             }
-            for (flat, entries) in queue.rank_banks(rank_idx).iter().enumerate() {
-                let Some(&(front, _)) = entries.first() else {
-                    continue;
-                };
-                let (bank_group, bank) = (flat / banks_per_group, flat % banks_per_group);
-                let open_row = rank.banks[flat].open_row;
-                let oldest_hit = open_row
-                    .and_then(|open| entries.iter().find(|&&(_, row)| row == open))
-                    .map(|&(seq, row)| (seq, row));
-                if let Some((seq, row)) = oldest_hit {
-                    if hit.is_none_or(|best| seq < best) {
-                        let addr = DramAddr {
-                            rank: rank_idx,
-                            bank_group,
-                            bank,
-                            row,
-                            ..DramAddr::default()
-                        };
-                        let earliest = self
-                            .state
-                            .earliest_issue(timing, col, &addr)
-                            .expect("the bank has the row open");
-                        if earliest <= now {
-                            hit = Some(seq);
-                        } else {
-                            horizon = horizon.min(earliest);
-                        }
-                    }
-                    continue;
-                }
-                // No queued hit: all of the bank's entries wait on one
-                // preparatory command, and its front entry is the oldest.
-                if hit.is_none() && prep.is_none_or(|(best, _)| front < best) {
-                    let (earliest, cmd) = match open_row {
-                        None => (
-                            rank.earliest_activate(timing, bank_group, bank),
-                            DramCommand::Activate,
-                        ),
-                        Some(_) => (
-                            rank.earliest_precharge(bank_group, bank),
-                            DramCommand::Precharge,
-                        ),
+            let rank = &self.state.ranks[rank_idx];
+            let entries = &queue.banks[bank_id];
+            let front = entries[0].0;
+            let (bank_group, bank) = (flat / banks_per_group, flat % banks_per_group);
+            let open_row = rank.banks[flat].open_row;
+            let oldest_hit = open_row
+                .and_then(|open| entries.iter().find(|&&(_, row)| row == open))
+                .map(|&(seq, row)| (seq, row));
+            if let Some((seq, row)) = oldest_hit {
+                if hit.is_none_or(|best| seq < best) {
+                    let addr = DramAddr {
+                        rank: rank_idx,
+                        bank_group,
+                        bank,
+                        row,
+                        ..DramAddr::default()
                     };
+                    let floor = *col_floor.get_or_insert_with(|| {
+                        self.state.column_floor(timing, col, rank_idx, bank_group)
+                    });
+                    let earliest = self
+                        .state
+                        .earliest_column(col, &addr, floor)
+                        .expect("the bank has the row open");
                     if earliest <= now {
-                        prep = Some((front, cmd));
+                        hit = Some(seq);
                     } else {
                         horizon = horizon.min(earliest);
                     }
+                }
+                continue;
+            }
+            // No queued hit: all of the bank's entries wait on one
+            // preparatory command, and its front entry is the oldest.
+            if hit.is_none() && prep.is_none_or(|(best, _)| front < best) {
+                let (earliest, cmd) = match open_row {
+                    None => {
+                        let floor = *act_floor
+                            .get_or_insert_with(|| rank.activate_floor(timing, bank_group));
+                        // `Rank::earliest_activate`, with the group's floor.
+                        (rank.banks[flat].next_act.max(floor), DramCommand::Activate)
+                    }
+                    Some(_) => (
+                        rank.earliest_precharge(bank_group, bank),
+                        DramCommand::Precharge,
+                    ),
+                };
+                if earliest <= now {
+                    prep = Some((front, cmd));
+                } else {
+                    horizon = horizon.min(earliest);
                 }
             }
         }
