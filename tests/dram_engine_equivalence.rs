@@ -212,12 +212,13 @@ proptest! {
     }
 
     /// `next_event_cycle` shares the step's horizon cache and fills it when
-    /// it is empty. Asking for the next event before every push and every
-    /// advance must change nothing: the same completions and the same
-    /// per-channel statistics as a run that never asks.
+    /// it is empty (and remembers a command it finds issuable right away).
+    /// Asking for the next event before every push and every advance must
+    /// change nothing: the same completions and the same statistics as a
+    /// run that never asks.
     #[test]
     fn probing_next_event_cycle_changes_nothing(
-        ops in prop::collection::vec((0u8..2, 0u64..u64::MAX, 0u64..300), 1..150),
+        ops in prop::collection::vec((0u8..2, 0u64..4096, 0u64..6), 16..200),
         policy_pick in 0u8..2,
         refresh in 0u8..2,
         layout_pick in 0u8..3,
@@ -228,7 +229,10 @@ proptest! {
         if deep_queues == 1 {
             cfg = pricer_queues(cfg);
         }
-        let trace = build_trace(&ops, cfg.capacity_bytes());
+        // A few hundred KiB keep the queues busy with row hits and
+        // conflicts, so commands are often issuable the moment they are
+        // probed.
+        let trace = build_trace(&ops, 1 << 22);
         let run = |probe: bool| {
             let mut mem = MemorySystem::new(cfg.clone()).expect("valid config");
             let mut wakes = Vec::new();
@@ -246,13 +250,17 @@ proptest! {
                     probe_now(&mem);
                     mem.advance_to(entry.not_before);
                 }
+                // Offer the request and step one cycle, until accepted — as
+                // the NMP replay loop does — so a probe, an enqueue and a
+                // step can all fall on one cycle.
                 loop {
                     probe_now(&mem);
-                    if mem.push(entry.request).expect("in range") {
-                        break;
-                    }
+                    let accepted = mem.push(entry.request).expect("in range");
                     let next = mem.cycle() + 1;
                     mem.advance_to(next);
+                    if accepted {
+                        break;
+                    }
                 }
             }
             while mem.is_busy() {
