@@ -61,7 +61,7 @@ fn mixed_trace(cfg: &DramConfig, seed: u64, len: usize) -> Trace {
             1..=8 => (r >> 8) % 40,
             _ => 0,
         };
-        if write_burst == 0 && (r >> 20) % 97 == 0 {
+        if write_burst == 0 && (r >> 20).is_multiple_of(97) {
             write_burst = 200 + ((r >> 28) % 120) as usize;
         }
         let is_write = if write_burst > 0 {
