@@ -45,7 +45,12 @@
 //! enqueued. [`MemoryController::next_event_cycle`] shares that cache: it
 //! returns the cached horizon when one is valid and stores what it
 //! computes otherwise, so a co-simulation loop that asks for the next
-//! event and then advances to it scans the queues once, not twice.
+//! event and then advances to it scans the queues once, not twice. When
+//! it finds a command issuable at the current cycle it also keeps that
+//! decision for the step at the same cycle. A skip refreshes the
+//! write-drain mode once, as the first skipped step would have: a horizon
+//! computed right after an issue may skip the step that sees the
+//! shortened queue, and the mode's hysteresis must not fall behind.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -621,6 +626,9 @@ impl MemoryController {
         } else {
             (&self.read_queue, RequestKind::Read)
         };
+        if queue.is_empty() {
+            return Decision::Wait(u64::MAX);
+        }
         if by_bank && self.config.scheduler == SchedulerKind::FrFcfs {
             self.decide_by_bank(queue, kind)
         } else {
