@@ -72,7 +72,7 @@ impl Rank {
 
     /// The part of [`Rank::earliest_activate`] every bank of `bank_group`
     /// shares: refresh, tRRD and tFAW (all but the bank's own `next_act`).
-    pub fn activate_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
+    pub(crate) fn activate_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
         let mut earliest = self.refresh_busy_until;
         for (bg, last) in self.last_act.iter().enumerate() {
             if let Some(at) = last {
@@ -96,7 +96,7 @@ impl Rank {
 
     /// The part of [`Rank::earliest_read`] every bank of `bank_group`
     /// shares: refresh, CAS-to-CAS spacing and write-to-read turnaround.
-    pub fn read_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
+    pub(crate) fn read_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
         let mut earliest = self.refresh_busy_until;
         for bg in 0..self.last_rd.len() {
             let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };
@@ -127,7 +127,7 @@ impl Rank {
 
     /// The part of [`Rank::earliest_write`] every bank of `bank_group`
     /// shares: refresh and CAS-to-CAS spacing.
-    pub fn write_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
+    pub(crate) fn write_floor(&self, t: &DramTiming, bank_group: usize) -> u64 {
         let mut earliest = self.refresh_busy_until;
         for bg in 0..self.last_wr.len() {
             let ccd = if bg == bank_group { t.tccd_l } else { t.tccd_s };

@@ -96,7 +96,7 @@ impl ChannelState {
     /// The part of a column command's [`ChannelState::earliest_issue`]
     /// that every bank of `bank_group` in `rank` shares: the rank's CAS
     /// spacing and turnarounds, refresh, and the shared data bus.
-    pub fn column_floor(
+    pub(crate) fn column_floor(
         &self,
         t: &DramTiming,
         cmd: DramCommand,
@@ -121,7 +121,12 @@ impl ChannelState {
     /// Earliest cycle column command `cmd` could issue to `addr`, given
     /// the [`ChannelState::column_floor`] of its bank group; `None` unless
     /// the bank has `addr.row` open.
-    pub fn earliest_column(&self, cmd: DramCommand, addr: &DramAddr, floor: u64) -> Option<u64> {
+    pub(crate) fn earliest_column(
+        &self,
+        cmd: DramCommand,
+        addr: &DramAddr,
+        floor: u64,
+    ) -> Option<u64> {
         let rank = &self.ranks[addr.rank];
         let bank = &rank.banks[rank.bank_index(addr.bank_group, addr.bank)];
         if bank.open_row != Some(addr.row) {
