@@ -299,6 +299,25 @@ fn nmp_gather_replay_pins() {
     }
 }
 
+/// The benchmark's cold replays: the pricer's defaults behind the
+/// 1024-row 8-way hot-row cache, on the Facebook workload. Batches of 10
+/// and more reach the 2,000-lookup replay cap and push the write queue
+/// past its 192-entry watermark, so they exercise write-drain decisions.
+#[test]
+fn nmp_benchmark_shape_pins() {
+    let cached = HotRowCacheConfig::set_associative(1024, 8);
+    let cases: [(usize, (u64, u64)); 4] = [
+        (1, (1939, 8613397704053946149)),
+        (4, (7644, 15910898335577941741)),
+        (10, (18682, 2708206625758175262)),
+        (32, (19042, 9786686207851091989)),
+    ];
+    for (batch, expect) in cases {
+        let stats = gather_replay(&Workload::facebook(), batch, cached);
+        assert_eq!((stats.cycles, nmp_hash(&stats)), expect, "batch {batch}");
+    }
+}
+
 /// `(delivery hash, per-link stats hash)` of a fabric run with
 /// injections staggered across ticks, so messages join and leave the
 /// streaming set while others are mid-hop.
