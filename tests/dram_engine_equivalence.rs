@@ -277,6 +277,93 @@ proptest! {
         prop_assert_eq!(plain_cycle, probed_cycle);
         prop_assert_eq!(plain_stats.totals.reads + plain_stats.totals.writes, trace.len() as u64);
     }
+
+    /// One controller driven by a random mix of `tick()`,
+    /// `advance_to(now + k)`, jumps to `next_event_cycle()` and probes
+    /// followed by a tick must match a tick-only run: the same completions, the same
+    /// statistics. Both runs enqueue at the same cycles; only the way the
+    /// clock moves between enqueues differs. State that only one of the
+    /// two paths keeps up to date shows up here and nowhere else.
+    #[test]
+    fn mixed_tick_and_event_steps_match_ticking(
+        ops in prop::collection::vec((0u8..2, 0u64..4096, 0u64..24), 16..200),
+        steps in prop::collection::vec((0u8..4, 1u64..12), 1..24),
+        scheduler_pick in 0u8..2,
+        policy_pick in 0u8..2,
+        refresh in 0u8..2,
+        layout_pick in 0u8..3,
+        deep_queues in 0u8..2,
+    ) {
+        let scheduler = if scheduler_pick == 0 { SchedulerKind::FrFcfs } else { SchedulerKind::Fcfs };
+        let policy = if policy_pick == 0 { RowPolicy::OpenPage } else { RowPolicy::ClosedPage };
+        let mut cfg = config(scheduler, policy, refresh == 1, pick_layout(layout_pick));
+        if deep_queues == 1 {
+            cfg = pricer_queues(cfg);
+        }
+        let trace = build_trace(&ops, 1 << 22);
+        // Move `mem` to `target` (`None`: until it drains idle), ticking
+        // only, or taking the next steps of the cyclic `steps` schedule.
+        let mut next_step = 0usize;
+        let mut move_to = |mem: &mut MemorySystem, target: Option<u64>, mixed: bool| loop {
+            let done = match target {
+                Some(target) => mem.cycle() >= target,
+                None => !mem.is_busy(),
+            };
+            if done {
+                break;
+            }
+            let limit = target.unwrap_or(u64::MAX);
+            if !mixed {
+                mem.tick();
+                continue;
+            }
+            let (kind, k) = steps[next_step % steps.len()];
+            next_step += 1;
+            match kind {
+                0 => mem.tick(),
+                1 => mem.advance_to((mem.cycle() + k).min(limit)),
+                2 => {
+                    if let Some(at) = mem.next_event_cycle() {
+                        assert!(at >= mem.cycle(), "next event lies in the past");
+                    }
+                    mem.tick();
+                }
+                _ => {
+                    let now = mem.cycle();
+                    let wake = mem.next_event_cycle().unwrap_or(now + 1);
+                    mem.advance_to(wake.max(now + 1).min(limit));
+                }
+            }
+        };
+        let mut run = |mixed: bool| {
+            let mut mem = MemorySystem::new(cfg.clone()).expect("valid config");
+            for entry in trace.entries() {
+                move_to(&mut mem, Some(entry.not_before), mixed);
+                loop {
+                    let accepted = mem.push(entry.request).expect("in range");
+                    let next = mem.cycle() + 1;
+                    move_to(&mut mem, Some(next), mixed);
+                    if accepted {
+                        break;
+                    }
+                }
+            }
+            move_to(&mut mem, None, mixed);
+            mem
+        };
+        let mut mixed = run(true);
+        let mut ticked = run(false);
+        // A mixed drain may overshoot the idle point by a jump; tick the
+        // reference up to the same cycle.
+        prop_assert!(ticked.cycle() <= mixed.cycle());
+        let end = mixed.cycle();
+        while ticked.cycle() < end {
+            ticked.tick();
+        }
+        prop_assert_eq!(&ticked.stats(), &mixed.stats(), "stats diverged");
+        prop_assert_eq!(ticked.drain_completions(), mixed.drain_completions());
+        prop_assert_eq!(ticked.stats().totals.reads + ticked.stats().totals.writes, trace.len() as u64);
+    }
 }
 
 /// A full-queue back-pressure replay: `push_blocking` (event path) and the
