@@ -5,7 +5,8 @@
 //! the tick-stepped oracle ([`TraceRunner::run_ticked`]) and the
 //! event-driven fast path ([`TraceRunner::run`]) — asserts bit-identical
 //! `MemoryStats` and completion streams, and reports the wall-clock
-//! speedup plus the idle-cycles-skipped counter as JSON.
+//! speedup plus the idle-cycles-skipped and scheduling-decision counters
+//! as JSON.
 //!
 //! Usage:
 //!
@@ -131,6 +132,7 @@ struct PathResult {
     completions: Vec<Completion>,
     final_cycle: u64,
     skipped: u64,
+    decisions: u64,
     wall_s: f64,
 }
 
@@ -152,6 +154,7 @@ fn replay(trace: &Trace, config: &DramConfig, event_driven: bool) -> PathResult 
         completions,
         final_cycle: memory.cycle(),
         skipped: memory.idle_cycles_skipped(),
+        decisions: memory.scheduling_decisions(),
         wall_s,
     }
 }
@@ -211,6 +214,7 @@ fn main() {
             concat!(
                 "    {{\"scenario\": \"{}\", \"requests\": {}, ",
                 "\"simulated_cycles\": {}, \"idle_cycles_skipped\": {}, ",
+                "\"tick_decisions\": {}, \"event_decisions\": {}, ",
                 "\"tick_wall_s\": {:.6}, \"event_wall_s\": {:.6}, ",
                 "\"speedup\": {:.2}, \"identical\": true}}"
             ),
@@ -218,16 +222,19 @@ fn main() {
             sc.trace.len(),
             fast.final_cycle,
             fast.skipped,
+            oracle.decisions,
+            fast.decisions,
             oracle.wall_s,
             fast.wall_s,
             speedup,
         ));
         eprintln!(
-            "{:<24} {:>7} reqs  {:>10} cycles  {:>10} skipped  tick {:>8.3}s  event {:>8.3}s  {:>6.1}x",
+            "{:<24} {:>7} reqs  {:>10} cycles  {:>10} skipped  {:>8} decisions  tick {:>8.3}s  event {:>8.3}s  {:>6.1}x",
             sc.name,
             sc.trace.len(),
             fast.final_cycle,
             fast.skipped,
+            fast.decisions,
             oracle.wall_s,
             fast.wall_s,
             speedup

@@ -229,6 +229,9 @@ pub struct MemoryController {
     /// Idle cycles the event-driven path jumped over (diagnostic; not part
     /// of [`ChannelStats`], which stays identical between both paths).
     idle_cycles_skipped: u64,
+    /// Scheduling decisions taken over a non-empty queue (diagnostic, like
+    /// `idle_cycles_skipped`).
+    decisions: Cell<u64>,
 }
 
 impl MemoryController {
@@ -256,6 +259,7 @@ impl MemoryController {
             cached_horizon: Cell::new(None),
             ready_issue: Cell::new(None),
             idle_cycles_skipped: 0,
+            decisions: Cell::new(0),
             config,
         }
     }
@@ -322,6 +326,13 @@ impl MemoryController {
     /// [`MemoryController::run_until_idle`]) jumped over instead of ticking.
     pub fn idle_cycles_skipped(&self) -> u64 {
         self.idle_cycles_skipped
+    }
+
+    /// Scheduling decisions taken so far over a non-empty queue, by either
+    /// path and by [`MemoryController::next_event_cycle`] (diagnostic: the
+    /// work count behind the engine's speed, not part of [`ChannelStats`]).
+    pub fn scheduling_decisions(&self) -> u64 {
+        self.decisions.get()
     }
 
     /// Advance one controller cycle, issuing at most one DRAM command.
@@ -629,6 +640,7 @@ impl MemoryController {
         if queue.is_empty() {
             return Decision::Wait(u64::MAX);
         }
+        self.decisions.set(self.decisions.get() + 1);
         if by_bank && self.config.scheduler == SchedulerKind::FrFcfs {
             self.decide_by_bank(queue, kind)
         } else {

@@ -272,6 +272,15 @@ impl MemorySystem {
             .sum()
     }
 
+    /// Scheduling decisions taken so far, summed across channels (see
+    /// [`MemoryController::scheduling_decisions`]; diagnostic).
+    pub fn scheduling_decisions(&self) -> u64 {
+        self.controllers
+            .iter()
+            .map(MemoryController::scheduling_decisions)
+            .sum()
+    }
+
     /// Collect completions from every channel (in channel order).
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         let mut all = Vec::new();

@@ -40,6 +40,9 @@ pub struct NmpRunStats {
     pub output_wait_cycles: u64,
     /// Hot-row cache counters (all zero when the cache is disabled).
     pub hot_rows: HotRowStats,
+    /// Scheduling decisions the local memory controller took (diagnostic:
+    /// a work count of the replay, not a simulated result).
+    pub scheduling_decisions: u64,
 }
 
 impl NmpRunStats {
@@ -165,6 +168,7 @@ impl NmpCore {
             input_stall_cycles: 0,
             output_wait_cycles: 0,
             hot_rows: HotRowStats::default(),
+            scheduling_decisions: runner.memory_mut().scheduling_decisions(),
             memory: stats,
         })
     }
@@ -401,6 +405,7 @@ impl NmpCore {
             input_stall_cycles,
             output_wait_cycles,
             hot_rows: cache.map(|c| c.stats()).unwrap_or_default(),
+            scheduling_decisions: memory.scheduling_decisions(),
             memory: stats,
         };
         if self.config.verify {
