@@ -141,6 +141,40 @@ impl Rank {
         earliest
     }
 
+    /// The rank-wide READ and WRITE floors of every bank group
+    /// ([`Rank::read_floor`], [`Rank::write_floor`]) in one pass over the
+    /// groups, handed to `each` as `(bank_group, [read, write])`.
+    pub(crate) fn column_floors(&self, t: &DramTiming, each: impl FnMut(usize, [u64; 2])) {
+        let terms = |bg: usize, ccd: u64, wtr: u64| {
+            let column = after(self.last_rd[bg], ccd).max(after(self.last_wr[bg], ccd));
+            [column.max(after(self.last_wr[bg], wtr)), column]
+        };
+        per_group(
+            self.last_rd.len(),
+            [self.refresh_busy_until; 2],
+            |bg| terms(bg, t.tccd_s, t.write_to_read_diff_bg()),
+            |bg| terms(bg, t.tccd_l, t.write_to_read_same_bg()),
+            each,
+        );
+    }
+
+    /// The rank-wide ACTIVATE floor of every bank group
+    /// ([`Rank::activate_floor`]) in one pass over the groups, handed to
+    /// `each` as `(bank_group, floor)`.
+    pub(crate) fn activate_floors(&self, t: &DramTiming, mut each: impl FnMut(usize, u64)) {
+        let mut base = self.refresh_busy_until;
+        if self.act_window.len() == 4 {
+            base = base.max(self.act_window[0] + t.tfaw);
+        }
+        per_group(
+            self.last_act.len(),
+            [base],
+            |bg| [after(self.last_act[bg], t.trrd_s)],
+            |bg| [after(self.last_act[bg], t.trrd_l)],
+            |bg, [floor]| each(bg, floor),
+        );
+    }
+
     /// Earliest cycle a PRECHARGE to `(bank_group, bank)` may issue.
     pub fn earliest_precharge(&self, bank_group: usize, bank: usize) -> u64 {
         self.banks[self.bank_index(bank_group, bank)]
@@ -269,6 +303,47 @@ impl Rank {
     }
 }
 
+/// `at + spacing`, or 0 (no constraint) when nothing issued yet.
+fn after(at: Option<u64>, spacing: u64) -> u64 {
+    at.map_or(0, |at| at + spacing)
+}
+
+/// For every group `g` of `groups`, hand `each` the floors
+/// `max(base, same(g), max over h != g of cross(h))`, kind by kind: a
+/// group's own commands constrain it by the same-group spacing, every other
+/// group's by the cross-group one. Two passes over the groups instead of a
+/// pass per group: the first keeps the two largest cross-group terms, so
+/// each group can leave out its own.
+fn per_group<const K: usize>(
+    groups: usize,
+    base: [u64; K],
+    cross: impl Fn(usize) -> [u64; K],
+    same: impl Fn(usize) -> [u64; K],
+    mut each: impl FnMut(usize, [u64; K]),
+) {
+    // Per kind: the largest cross-group term, its group, the second largest.
+    let mut top = [(0u64, usize::MAX, 0u64); K];
+    for bg in 0..groups {
+        for (slot, value) in top.iter_mut().zip(cross(bg)) {
+            if value > slot.0 {
+                *slot = (value, bg, slot.0);
+            } else if value > slot.2 {
+                slot.2 = value;
+            }
+        }
+    }
+    for bg in 0..groups {
+        let same = same(bg);
+        let mut floors = base;
+        for k in 0..K {
+            let (first, at, second) = top[k];
+            let others = if at == bg { second } else { first };
+            floors[k] = floors[k].max(same[k]).max(others);
+        }
+        each(bg, floors);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +422,49 @@ mod tests {
     fn closed_rank_is_refreshable_immediately() {
         let r = rank();
         assert_eq!(r.earliest_refresh(), 0);
+    }
+
+    #[test]
+    fn one_pass_floors_match_the_per_group_floors() {
+        let mut t = DramTiming::ddr4_3200();
+        // Also with a cross-group write-to-read delay above the same-group
+        // one, which no validation rules out.
+        for swap_wtr in [false, true] {
+            if swap_wtr {
+                std::mem::swap(&mut t.twtr_l, &mut t.twtr_s);
+            }
+            let mut r = rank();
+            let mut state = 0x5eedu64;
+            for step in 0..400u64 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let (bg, bank) = ((state >> 33) as usize % 4, (state >> 40) as usize % 4);
+                let cycle = step * 7 + (state >> 50) % 5;
+                match (state >> 20) % 4 {
+                    0 => r.record_activate(&t, bg, bank, cycle, 1),
+                    1 => r.record_read(&t, bg, bank, cycle, false),
+                    2 => r.record_write(&t, bg, bank, cycle, false),
+                    _ if step % 50 == 0 => r.record_refresh(&t, cycle),
+                    _ => r.record_precharge(&t, bg, bank, cycle),
+                }
+                let mut seen = 0;
+                r.column_floors(&t, |g, [read, write]| {
+                    assert_eq!(read, r.read_floor(&t, g), "read floor, group {g}");
+                    assert_eq!(write, r.write_floor(&t, g), "write floor, group {g}");
+                    seen += 1;
+                });
+                r.activate_floors(&t, |g, activate| {
+                    assert_eq!(
+                        activate,
+                        r.activate_floor(&t, g),
+                        "activate floor, group {g}"
+                    );
+                    seen += 1;
+                });
+                assert_eq!(seen, 8);
+            }
+        }
     }
 
     #[test]

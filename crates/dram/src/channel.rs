@@ -104,17 +104,24 @@ impl ChannelState {
         bank_group: usize,
     ) -> u64 {
         let r = &self.ranks[rank];
-        if cmd.is_read() {
+        let in_rank = if cmd.is_read() {
             r.read_floor(t, bank_group)
-                .max(self.bus_free_from(t, rank, t.cl))
         } else {
-            let mut earliest = r
-                .write_floor(t, bank_group)
-                .max(self.bus_free_from(t, rank, t.cwl));
-            if let Some(at) = self.last_read_cmd {
-                earliest = earliest.max(at + t.read_to_write());
-            }
-            earliest
+            r.write_floor(t, bank_group)
+        };
+        in_rank.max(self.bus_floor(t, cmd.is_read(), rank))
+    }
+
+    /// The channel-wide part of a READ (`is_read`) or WRITE
+    /// [`ChannelState::column_floor`] for `rank`: the shared data bus and,
+    /// for a write, the read-to-write turnaround.
+    pub(crate) fn bus_floor(&self, t: &DramTiming, is_read: bool, rank: usize) -> u64 {
+        if is_read {
+            self.bus_free_from(t, rank, t.cl)
+        } else {
+            let bus = self.bus_free_from(t, rank, t.cwl);
+            self.last_read_cmd
+                .map_or(bus, |at| bus.max(at + t.read_to_write()))
         }
     }
 

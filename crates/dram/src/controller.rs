@@ -10,23 +10,49 @@
 //! Under FR-FCFS every queued row hit of one bank shares one column-issue
 //! time, and every other queued entry of that bank shares one ACTIVATE (bank
 //! closed) or PRECHARGE (other row open) time. The event-driven path
-//! therefore evaluates one time per bank rather than one per request:
-//!
-//! * pass 1 issues the oldest row hit, by arrival sequence number, among
-//!   the banks whose hit time has come;
-//! * pass 2 issues the oldest front entry among the banks that have no
-//!   queued hit and whose preparatory command is ready. A bank with a
-//!   queued hit gets no pass-2 command: closing its row would throw the
-//!   hit away, and pass 1 will serve it first.
-//!
-//! Each queue keeps its requests in an arrival-ordered `VecDeque` and,
-//! beside it, each bank's `(seq, row)` pairs in arrival order, so the
-//! decision never walks the whole queue.
+//! therefore evaluates one time per bank rather than one per request. It
+//! issues the oldest row hit, by arrival sequence number, among the banks
+//! whose hit time has come; failing that, the oldest front entry among the
+//! banks that have no queued hit and whose preparatory command is ready. A
+//! bank with a queued hit gets no preparatory command: closing its row would
+//! throw the hit away, and the hit is served first.
 //!
 //! [`MemoryController::tick`] keeps the original per-request scan in
-//! arrival order as the reference decision (O(queue) per cycle). The
-//! tick-vs-event equivalence suites thus check the per-bank decision
-//! against an independent implementation, not against itself.
+//! arrival order as the reference decision (O(queue) per cycle), and that
+//! scan reads none of the state described next. The tick-vs-event
+//! equivalence suites thus check the per-bank decision against an
+//! independent implementation, not against itself.
+//!
+//! # State kept between decisions
+//!
+//! Between two state changes only the clock moves, so the per-bank decision
+//! reads state that persists across decisions and is updated only where a
+//! command or an enqueue changes it. Both paths keep it up to date, so
+//! callers may mix [`MemoryController::tick`] and
+//! [`MemoryController::advance_to`] on one controller.
+//!
+//! * **Per-bank candidates**, per queue, in flat arrays: the bank's next
+//!   command, the bank-local part of its issue time, and an ordering key —
+//!   the arrival number of its oldest row hit or, when no entry hits the
+//!   open row, that of its front entry ranked after every hit. An enqueue
+//!   updates the candidate of its bank in its queue. A command updates the
+//!   candidates of the bank it touched in both queues; a refresh, those of
+//!   every bank in its rank.
+//! * **Issue floors**, per bank group and command kind: the rank-, group-
+//!   and bus-wide parts of the issue times. An ACTIVATE recomputes its
+//!   rank's floors (tRRD, tFAW), a column command its rank's and every
+//!   rank's bus terms, a refresh its rank's; a PRECHARGE changes none. All
+//!   groups of a rank are recomputed in one pass.
+//! * **A decision taken ahead.** When nothing can issue, the decision also
+//!   names the command that wins at its horizon, and the step at that cycle
+//!   issues it without deciding again; likewise a command
+//!   [`MemoryController::next_event_cycle`] finds issuable at the current
+//!   cycle. Any command, any enqueue, a different write-drain mode or a
+//!   refresh falling due in the command's rank drops it.
+//!
+//! A decision is then the smallest key among the occupied banks whose
+//! issue time `max(local part, floor)` has come, and a wait lasts until the
+//! smallest issue time.
 //!
 //! # Event-driven time skipping
 //!
@@ -45,22 +71,34 @@
 //! enqueued. [`MemoryController::next_event_cycle`] shares that cache: it
 //! returns the cached horizon when one is valid and stores what it
 //! computes otherwise, so a co-simulation loop that asks for the next
-//! event and then advances to it scans the queues once, not twice. When
-//! it finds a command issuable at the current cycle it also keeps that
-//! decision for the step at the same cycle. A skip refreshes the
-//! write-drain mode once, as the first skipped step would have: a horizon
-//! computed right after an issue may skip the step that sees the
-//! shortened queue, and the mode's hysteresis must not fall behind.
+//! event and then advances to it scans the queues once, not twice. A skip
+//! refreshes the write-drain mode once, as the first skipped step would
+//! have: a horizon computed right after an issue may skip the step that
+//! sees the shortened queue, and the mode's hysteresis must not fall
+//! behind.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::address::DramAddr;
+use crate::bank::Bank;
 use crate::channel::ChannelState;
 use crate::command::DramCommand;
 use crate::config::{DramConfig, Geometry, RowPolicy, SchedulerKind};
 use crate::request::{Completion, Request, RequestKind};
 use crate::stats::ChannelStats;
+use crate::timing::DramTiming;
+
+/// Command kinds of a per-bank candidate, each also the offset of the
+/// floor it combines with in [`IssueFloors::at`].
+const READ: usize = 0;
+const WRITE: usize = 1;
+const ACTIVATE: usize = 2;
+const PRECHARGE: usize = 3;
+const KINDS: usize = 4;
+
+/// Added to a preparatory candidate's key, ranking it after every row hit.
+const PREP: u64 = 1 << 63;
 
 #[derive(Debug, Clone)]
 struct QueuedRequest {
@@ -75,30 +113,50 @@ struct QueuedRequest {
     needed_precharge: bool,
 }
 
+/// One bank's candidate for the next command from one queue.
+#[derive(Debug, Clone, Copy, Default)]
+struct Candidate {
+    /// Arrival number of the bank's oldest row hit or, when no entry hits
+    /// the open row, [`PREP`] plus that of its front entry: among the
+    /// banks whose time has come, the smallest key issues.
+    key: u64,
+    /// The bank-local part of the command's issue time.
+    local: u64,
+    /// Index of the command's floor in [`IssueFloors::at`]; its kind is
+    /// `floor % KINDS`.
+    floor: usize,
+}
+
 /// One request queue: the arrival-ordered store, plus each bank's queued
-/// `(seq, row)` pairs in arrival order beside it.
+/// `(seq, row)` pairs in arrival order and its [`Candidate`] beside it.
 #[derive(Debug, Clone)]
 struct RequestQueue {
     entries: VecDeque<QueuedRequest>,
     /// Indexed by channel-wide bank number
     /// (`rank * banks_per_rank + bank_group * banks_per_group + bank`).
     banks: Vec<Vec<(u64, usize)>>,
+    /// Valid for the banks with queued entries.
+    candidates: Vec<Candidate>,
     /// Bit `b % 64` of word `b / 64` is set while bank `b` has queued
     /// entries, so a decision visits only occupied banks.
     occupied: Vec<u64>,
+    /// [`READ`] or [`WRITE`]: the column command this queue's hits take.
+    column: usize,
     banks_per_rank: usize,
     banks_per_group: usize,
     next_seq: u64,
 }
 
 impl RequestQueue {
-    fn new(capacity: usize, geometry: &Geometry) -> Self {
+    fn new(capacity: usize, geometry: &Geometry, column: usize) -> Self {
         let banks_per_rank = geometry.banks_per_rank();
         let banks = geometry.ranks_per_channel * banks_per_rank;
         RequestQueue {
             entries: VecDeque::with_capacity(capacity),
             banks: vec![Vec::new(); banks],
+            candidates: vec![Candidate::default(); banks],
             occupied: vec![0; banks.div_ceil(64)],
+            column,
             banks_per_rank,
             banks_per_group: geometry.banks_per_group,
             next_seq: 0,
@@ -135,12 +193,13 @@ impl RequestQueue {
             })
     }
 
-    fn push(&mut self, request: Request, dram: DramAddr, enqueued_at: u64) {
+    /// Queue `request` for `dram`, whose bank's timing state is `bank`.
+    fn push(&mut self, request: Request, dram: DramAddr, bank: &Bank, enqueued_at: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let bank = self.bank_of(&dram);
-        self.banks[bank].push((seq, dram.row));
-        self.occupied[bank / 64] |= 1 << (bank % 64);
+        let bank_id = self.bank_of(&dram);
+        self.banks[bank_id].push((seq, dram.row));
+        self.occupied[bank_id / 64] |= 1 << (bank_id % 64);
         self.entries.push_back(QueuedRequest {
             request,
             dram,
@@ -149,6 +208,7 @@ impl RequestQueue {
             needed_activate: false,
             needed_precharge: false,
         });
+        self.update_candidate(bank_id, bank);
     }
 
     /// Store index of the queued entry with arrival number `seq`.
@@ -158,6 +218,8 @@ impl RequestQueue {
             .expect("indexed entries are queued")
     }
 
+    /// Remove the entry at store index `index`. The caller updates its
+    /// bank's candidate once the command has changed the bank's state.
     fn remove(&mut self, index: usize) -> QueuedRequest {
         let q = self
             .entries
@@ -175,15 +237,124 @@ impl RequestQueue {
         }
         q
     }
+
+    /// The candidate of bank `bank_id`, whose timing state is `bank`, as
+    /// its queued entries make it (`None` when it has none).
+    fn candidate(&self, bank_id: usize, bank: &Bank) -> Option<Candidate> {
+        let list = &self.banks[bank_id];
+        let &(front, _) = list.first()?;
+        let hit = bank
+            .open_row
+            .and_then(|open| list.iter().find(|&&(_, row)| row == open));
+        let (key, kind, local) = match (hit, bank.open_row) {
+            (Some(&(seq, _)), _) if self.column == READ => (seq, READ, bank.next_rd),
+            (Some(&(seq, _)), _) => (seq, WRITE, bank.next_wr),
+            (None, None) => (PREP | front, ACTIVATE, bank.next_act),
+            (None, Some(_)) => (PREP | front, PRECHARGE, bank.next_pre),
+        };
+        Some(Candidate {
+            key,
+            local,
+            floor: bank_id / self.banks_per_group * KINDS + kind,
+        })
+    }
+
+    fn update_candidate(&mut self, bank_id: usize, bank: &Bank) {
+        if let Some(candidate) = self.candidate(bank_id, bank) {
+            self.candidates[bank_id] = candidate;
+        }
+    }
+}
+
+/// The rank-, bank-group- and bus-wide parts of every bank group's issue
+/// times, recomputed only when a command changes them.
+#[derive(Debug, Clone)]
+struct IssueFloors {
+    /// Indexed `group * KINDS + kind`, where `group` is the channel-wide
+    /// bank-group number (`rank * bank_groups + bank_group`).
+    at: Vec<u64>,
+    /// Each group's READ and WRITE floors without the bus terms.
+    in_rank: Vec<[u64; 2]>,
+    bank_groups: usize,
+}
+
+impl IssueFloors {
+    fn new(state: &ChannelState, t: &DramTiming, geometry: &Geometry) -> Self {
+        let groups = geometry.ranks_per_channel * geometry.bank_groups;
+        let mut floors = IssueFloors {
+            at: vec![0; groups * KINDS],
+            in_rank: vec![[0; 2]; groups],
+            bank_groups: geometry.bank_groups,
+        };
+        for rank in 0..geometry.ranks_per_channel {
+            floors.refreshed(state, t, rank);
+        }
+        floors
+    }
+
+    /// After an ACTIVATE in `rank`: its groups' tRRD and tFAW floors.
+    fn activated(&mut self, state: &ChannelState, t: &DramTiming, rank: usize) {
+        let r = &state.ranks[rank];
+        let first = rank * self.bank_groups;
+        r.activate_floors(t, |bank_group, floor| {
+            self.at[(first + bank_group) * KINDS + ACTIVATE] = floor;
+        });
+    }
+
+    /// After a column command in `rank`: its groups' CAS spacing and
+    /// turnarounds, and every group's bus terms.
+    fn column_issued(&mut self, state: &ChannelState, t: &DramTiming, rank: usize) {
+        let first = rank * self.bank_groups;
+        state.ranks[rank].column_floors(t, |bank_group, floors| {
+            self.in_rank[first + bank_group] = floors;
+        });
+        for (rank, groups) in self.in_rank.chunks(self.bank_groups).enumerate() {
+            let bus = [
+                state.bus_floor(t, true, rank),
+                state.bus_floor(t, false, rank),
+            ];
+            let first = rank * self.bank_groups;
+            for (bank_group, &[read, write]) in groups.iter().enumerate() {
+                let at = (first + bank_group) * KINDS;
+                self.at[at + READ] = read.max(bus[0]);
+                self.at[at + WRITE] = write.max(bus[1]);
+            }
+        }
+    }
+
+    /// After a refresh of `rank` (or to start): all of its groups' floors.
+    fn refreshed(&mut self, state: &ChannelState, t: &DramTiming, rank: usize) {
+        self.activated(state, t, rank);
+        self.column_issued(state, t, rank);
+        let first = rank * self.bank_groups;
+        for group in first..first + self.bank_groups {
+            self.at[group * KINDS + PRECHARGE] = state.ranks[rank].refresh_busy_until;
+        }
+    }
+}
+
+/// A decision taken before the step that carries it out (module docs).
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// The cycle whose step issues it.
+    at: u64,
+    /// The write-drain mode it was taken under.
+    serve_writes: bool,
+    /// Arrival number of the queued entry it serves.
+    seq: u64,
+    /// That entry's rank: a refresh falling due there blocks the command.
+    rank: usize,
+    cmd: DramCommand,
 }
 
 /// What one scheduling pass decided.
 enum Decision {
     /// Issue `cmd` for the queued entry at store index `index`.
     Issue { index: usize, cmd: DramCommand },
-    /// Nothing can issue before this cycle (`u64::MAX`: not without a
-    /// state change).
-    Wait(u64),
+    /// Nothing can issue before cycle `at` (`u64::MAX`: not without a
+    /// state change); `then`, when known, is what issues at `at` if
+    /// nothing changes until then.
+    Wait { at: u64, then: Option<Pending> },
 }
 
 /// The column command a request maps to under the given row policy.
@@ -206,6 +377,8 @@ pub struct MemoryController {
     state: ChannelState,
     read_queue: RequestQueue,
     write_queue: RequestQueue,
+    /// The floors of every bank group's issue times (module docs).
+    floors: IssueFloors,
     write_mode: bool,
     cycle: u64,
     /// Latest in-flight data-burst completion time.
@@ -221,11 +394,10 @@ pub struct MemoryController {
     /// change (a command issues or a request is enqueued); lets repeated
     /// `advance_to` calls jump a known-idle span without rescanning.
     cached_horizon: Cell<Option<u64>>,
-    /// A command [`MemoryController::next_event_cycle`] found issuable at
-    /// the current cycle, as `(cycle, store index, command)`: the step at
-    /// that cycle issues it without deciding again. Dropped by an enqueue
-    /// and consumed (or outdated) by the next step.
-    ready_issue: Cell<Option<(u64, usize, DramCommand)>>,
+    /// A decision taken ahead of its step (module docs). Dropped by any
+    /// command and any enqueue, and consumed (or outdated) by the next
+    /// step.
+    pending: Cell<Option<Pending>>,
     /// Idle cycles the event-driven path jumped over (diagnostic; not part
     /// of [`ChannelStats`], which stays identical between both paths).
     idle_cycles_skipped: u64,
@@ -247,9 +419,10 @@ impl MemoryController {
             .min()
             .unwrap_or(u64::MAX);
         MemoryController {
+            read_queue: RequestQueue::new(config.read_queue_depth, &config.geometry, READ),
+            write_queue: RequestQueue::new(config.write_queue_depth, &config.geometry, WRITE),
+            floors: IssueFloors::new(&state, &config.timing, &config.geometry),
             state,
-            read_queue: RequestQueue::new(config.read_queue_depth, &config.geometry),
-            write_queue: RequestQueue::new(config.write_queue_depth, &config.geometry),
             write_mode: false,
             cycle: 0,
             last_burst_done: 0,
@@ -257,7 +430,7 @@ impl MemoryController {
             stats: ChannelStats::default(),
             next_refresh_due_min,
             cached_horizon: Cell::new(None),
-            ready_issue: Cell::new(None),
+            pending: Cell::new(None),
             idle_cycles_skipped: 0,
             decisions: Cell::new(0),
             config,
@@ -294,13 +467,15 @@ impl MemoryController {
         if queue.len() >= depth {
             return false;
         }
-        queue.push(request, dram, self.cycle);
+        let rank = &self.state.ranks[dram.rank];
+        let bank = &rank.banks[rank.bank_index(dram.bank_group, dram.bank)];
+        queue.push(request, dram, bank, self.cycle);
         // An accepted request can become issuable (or flip the write-drain
         // mode) before any previously computed horizon, or win over a
-        // command found ready; a rejected one returned above without
+        // decision taken ahead; a rejected one returned above without
         // touching state.
         self.cached_horizon.set(None);
-        self.ready_issue.set(None);
+        self.pending.set(None);
         true
     }
 
@@ -331,6 +506,7 @@ impl MemoryController {
     /// Scheduling decisions taken so far over a non-empty queue, by either
     /// path and by [`MemoryController::next_event_cycle`] (diagnostic: the
     /// work count behind the engine's speed, not part of [`ChannelStats`]).
+    /// A decision taken ahead and then carried out counts once.
     pub fn scheduling_decisions(&self) -> u64 {
         self.decisions.get()
     }
@@ -439,7 +615,8 @@ impl MemoryController {
 
     /// What a non-acting step at the current cycle would leave in the
     /// horizon cache: a lower bound on the next cycle the refresh
-    /// machinery could act or a queued command could issue.
+    /// machinery could act or a queued command could issue. The decision
+    /// it takes is kept for the step that carries it out.
     fn command_horizon(&self) -> u64 {
         let now = self.cycle;
         let mut horizon = u64::MAX;
@@ -453,12 +630,23 @@ impl MemoryController {
             }
         }
         if horizon > now {
-            let schedule_horizon = match self.decide(self.next_write_mode(), true) {
+            let serve_writes = self.next_write_mode();
+            let schedule_horizon = match self.decide(serve_writes, true) {
                 Decision::Issue { index, cmd } => {
-                    self.ready_issue.set(Some((now, index, cmd)));
+                    let q = &self.queue(serve_writes).entries[index];
+                    self.pending.set(Some(Pending {
+                        at: now,
+                        serve_writes,
+                        seq: q.seq,
+                        rank: q.dram.rank,
+                        cmd,
+                    }));
                     now
                 }
-                Decision::Wait(at) => at,
+                Decision::Wait { at, then } => {
+                    self.pending.set(then);
+                    at
+                }
             };
             horizon = horizon.min(schedule_horizon);
         }
@@ -536,31 +724,46 @@ impl MemoryController {
     /// command consumed this cycle, plus the earliest future cycle the
     /// machinery could act (deadline, precharge-ready, or refresh-ready).
     fn service_refresh(&mut self) -> (bool, u64) {
-        let MemoryController {
-            config,
-            state,
-            stats,
-            cycle,
-            next_refresh_due_min,
-            ..
-        } = self;
-        let timing = &config.timing;
-        let geom = config.geometry;
-        let now = *cycle;
+        let now = self.cycle;
+        let (command, horizon) = self.refresh_command(now);
+        let Some((cmd, addr)) = command else {
+            return (false, horizon);
+        };
+        self.state.issue(&self.config.timing, cmd, &addr, now);
+        if cmd == DramCommand::Refresh {
+            self.stats.refreshes += 1;
+            self.next_refresh_due_min = self
+                .state
+                .ranks
+                .iter()
+                .map(|r| r.next_refresh_due)
+                .min()
+                .unwrap_or(u64::MAX);
+        } else {
+            self.stats.precharges += 1;
+        }
+        self.note_command(cmd, &addr);
+        (true, u64::MAX)
+    }
+
+    /// The refresh-related command due at `now` (a PRECHARGE closing an
+    /// open bank of a rank whose refresh is due, one per cycle, or the
+    /// REFRESH itself once all its banks are closed), or else the earliest
+    /// future cycle the machinery could act.
+    fn refresh_command(&self, now: u64) -> (Option<(DramCommand, DramAddr)>, u64) {
+        let geom = &self.config.geometry;
         let mut horizon = u64::MAX;
-        for rank_idx in 0..geom.ranks_per_channel {
-            let due = state.ranks[rank_idx].next_refresh_due;
+        for (rank_idx, rank) in self.state.ranks.iter().enumerate() {
+            let due = rank.next_refresh_due;
             if now < due {
                 horizon = horizon.min(due);
                 continue;
             }
             // Close any open banks first, one precharge per cycle.
-            if !state.ranks[rank_idx].all_banks_closed() {
+            if !rank.all_banks_closed() {
                 for bg in 0..geom.bank_groups {
                     for b in 0..geom.banks_per_group {
-                        let rank = &state.ranks[rank_idx];
-                        let idx = rank.bank_index(bg, b);
-                        if rank.banks[idx].open_row.is_none() {
+                        if rank.banks[rank.bank_index(bg, b)].open_row.is_none() {
                             continue;
                         }
                         let earliest = rank.earliest_precharge(bg, b);
@@ -571,9 +774,7 @@ impl MemoryController {
                                 bank: b,
                                 ..DramAddr::default()
                             };
-                            state.issue(timing, DramCommand::Precharge, &addr, now);
-                            stats.precharges += 1;
-                            return (true, u64::MAX);
+                            return (Some((DramCommand::Precharge, addr)), u64::MAX);
                         }
                         horizon = horizon.min(earliest);
                     }
@@ -581,29 +782,29 @@ impl MemoryController {
                 // Banks open but none precharge-able yet: stall this rank.
                 continue;
             }
-            let earliest = state.ranks[rank_idx].earliest_refresh();
+            let earliest = rank.earliest_refresh();
             if earliest <= now {
                 let addr = DramAddr {
                     rank: rank_idx,
                     ..DramAddr::default()
                 };
-                state.issue(timing, DramCommand::Refresh, &addr, now);
-                stats.refreshes += 1;
-                *next_refresh_due_min = state
-                    .ranks
-                    .iter()
-                    .map(|r| r.next_refresh_due)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                return (true, u64::MAX);
+                return (Some((DramCommand::Refresh, addr)), u64::MAX);
             }
             horizon = horizon.min(earliest);
         }
-        (false, horizon)
+        (None, horizon)
     }
 
     fn refresh_blocked(&self, rank: usize) -> bool {
         self.config.refresh_enabled && self.cycle >= self.state.ranks[rank].next_refresh_due
+    }
+
+    fn queue(&self, serve_writes: bool) -> &RequestQueue {
+        if serve_writes {
+            &self.write_queue
+        } else {
+            &self.read_queue
+        }
     }
 
     /// One scheduling pass over the active queue. Returns whether a
@@ -611,15 +812,28 @@ impl MemoryController {
     /// queued request's next command could become issuable.
     fn schedule(&mut self, by_bank: bool) -> (bool, u64) {
         let serve_writes = self.write_mode;
-        // The state has not changed since `next_event_cycle` decided at
-        // this cycle (under the same write-drain mode), so neither has the
-        // decision.
-        let decision = match self.ready_issue.take() {
-            Some((at, index, cmd)) if by_bank && at == self.cycle => Decision::Issue { index, cmd },
+        // A decision taken ahead still holds when nothing has changed
+        // since (any command or enqueue drops it) and its rank has no
+        // refresh due.
+        let decision = match self.pending.take() {
+            Some(p)
+                if by_bank
+                    && p.at == self.cycle
+                    && p.serve_writes == serve_writes
+                    && !self.refresh_blocked(p.rank) =>
+            {
+                Decision::Issue {
+                    index: self.queue(serve_writes).position(p.seq),
+                    cmd: p.cmd,
+                }
+            }
             _ => self.decide(serve_writes, by_bank),
         };
         match decision {
-            Decision::Wait(horizon) => (false, horizon),
+            Decision::Wait { at, then } => {
+                self.pending.set(then);
+                (false, at)
+            }
             Decision::Issue { index, cmd } => {
                 self.execute(index, cmd, serve_writes);
                 (true, u64::MAX)
@@ -632,17 +846,16 @@ impl MemoryController {
     /// scan when `by_bank` is false. FCFS only ever looks at the queue
     /// head, so it always takes the reference scan.
     fn decide(&self, serve_writes: bool, by_bank: bool) -> Decision {
-        let (queue, kind) = if serve_writes {
-            (&self.write_queue, RequestKind::Write)
-        } else {
-            (&self.read_queue, RequestKind::Read)
-        };
+        let queue = self.queue(serve_writes);
         if queue.is_empty() {
-            return Decision::Wait(u64::MAX);
+            return Decision::Wait {
+                at: u64::MAX,
+                then: None,
+            };
         }
         self.decisions.set(self.decisions.get() + 1);
         if by_bank && self.config.scheduler == SchedulerKind::FrFcfs {
-            self.decide_by_bank(queue, kind)
+            self.decide_by_bank(queue, serve_writes)
         } else {
             self.decide_in_arrival_order(queue)
         }
@@ -685,108 +898,100 @@ impl MemoryController {
                 horizon = horizon.min(earliest);
             }
         }
-        Decision::Wait(horizon)
+        Decision::Wait {
+            at: horizon,
+            then: None,
+        }
     }
 
     /// The per-bank FR-FCFS decision of the event-driven path (module
     /// docs): the same command for the same entry as
-    /// [`MemoryController::decide_in_arrival_order`], from one issue time
-    /// per bank.
-    fn decide_by_bank(&self, queue: &RequestQueue, kind: RequestKind) -> Decision {
+    /// [`MemoryController::decide_in_arrival_order`], from each occupied
+    /// bank's [`Candidate`] and its group's floor.
+    fn decide_by_bank(&self, queue: &RequestQueue, serve_writes: bool) -> Decision {
+        #[cfg(debug_assertions)]
+        self.assert_kept_state_is_current();
         let now = self.cycle;
-        let timing = &self.config.timing;
-        let col = col_cmd(kind, self.config.row_policy);
-        let banks_per_group = self.config.geometry.banks_per_group;
-        let mut horizon = u64::MAX;
-        // Arrival numbers of the oldest ready row hit (pass 1) and of the
-        // oldest ready front entry of a bank without a queued hit (pass 2).
-        // A bank whose entry is younger than the best so far cannot win, so
-        // its issue time is skipped — the horizon only matters when
-        // nothing is chosen, and then nothing was skipped.
-        let mut hit: Option<u64> = None;
-        let mut prep: Option<(u64, DramCommand)> = None;
-        // The rank- and bank-group-wide parts of the issue times, computed
-        // once per group: banks come in ascending order, group by group.
-        let mut group = usize::MAX;
-        let mut col_floor = None;
-        let mut act_floor = None;
+        let floors = &self.floors.at;
+        // A rank whose refresh is due takes no command; check for one only
+        // when a refresh can be due at all.
+        let refresh_due = self.config.refresh_enabled && now >= self.next_refresh_due_min;
+        // `(key, bank)` of the best candidate whose time has come, and
+        // `(time, key, bank)` of the earliest one whose time has not. A
+        // candidate whose key cannot beat the best ready one is skipped:
+        // the wait only matters when nothing is ready, and then nothing
+        // was skipped.
+        let mut ready = (u64::MAX, 0);
+        let mut next = (u64::MAX, u64::MAX, 0);
         for bank_id in queue.occupied_banks() {
-            if bank_id / banks_per_group != group {
-                group = bank_id / banks_per_group;
-                col_floor = None;
-                act_floor = None;
-            }
-            let (rank_idx, flat) = (
-                bank_id / queue.banks_per_rank,
-                bank_id % queue.banks_per_rank,
-            );
-            if self.refresh_blocked(rank_idx) {
+            let c = queue.candidates[bank_id];
+            if c.key >= ready.0
+                || (refresh_due && self.refresh_blocked(bank_id / queue.banks_per_rank))
+            {
                 continue;
             }
-            let rank = &self.state.ranks[rank_idx];
-            let entries = &queue.banks[bank_id];
-            let front = entries[0].0;
-            let (bank_group, bank) = (flat / banks_per_group, flat % banks_per_group);
-            let open_row = rank.banks[flat].open_row;
-            let oldest_hit = open_row
-                .and_then(|open| entries.iter().find(|&&(_, row)| row == open))
-                .map(|&(seq, row)| (seq, row));
-            if let Some((seq, row)) = oldest_hit {
-                if hit.is_none_or(|best| seq < best) {
-                    let addr = DramAddr {
-                        rank: rank_idx,
-                        bank_group,
-                        bank,
-                        row,
-                        ..DramAddr::default()
-                    };
-                    let floor = *col_floor.get_or_insert_with(|| {
-                        self.state.column_floor(timing, col, rank_idx, bank_group)
-                    });
-                    let earliest = self
-                        .state
-                        .earliest_column(col, &addr, floor)
-                        .expect("the bank has the row open");
-                    if earliest <= now {
-                        hit = Some(seq);
-                    } else {
-                        horizon = horizon.min(earliest);
-                    }
-                }
-                continue;
-            }
-            // No queued hit: all of the bank's entries wait on one
-            // preparatory command, and its front entry is the oldest.
-            if hit.is_none() && prep.is_none_or(|(best, _)| front < best) {
-                let (earliest, cmd) = match open_row {
-                    None => {
-                        let floor = *act_floor
-                            .get_or_insert_with(|| rank.activate_floor(timing, bank_group));
-                        // `Rank::earliest_activate`, with the group's floor.
-                        (rank.banks[flat].next_act.max(floor), DramCommand::Activate)
-                    }
-                    Some(_) => (
-                        rank.earliest_precharge(bank_group, bank),
-                        DramCommand::Precharge,
-                    ),
-                };
-                if earliest <= now {
-                    prep = Some((front, cmd));
-                } else {
-                    horizon = horizon.min(earliest);
-                }
+            let at = c.local.max(floors[c.floor]);
+            if at <= now {
+                ready = (c.key, bank_id);
+            } else if (at, c.key) < (next.0, next.1) {
+                next = (at, c.key, bank_id);
             }
         }
-        match (hit, prep) {
-            (Some(seq), _) => Decision::Issue {
-                index: queue.position(seq),
-                cmd: col,
-            },
-            (None, Some((seq, cmd))) => Decision::Issue {
+        let command = |key: u64, bank_id: usize| {
+            let cmd = match queue.candidates[bank_id].floor % KINDS {
+                ACTIVATE => DramCommand::Activate,
+                PRECHARGE => DramCommand::Precharge,
+                _ if serve_writes => col_cmd(RequestKind::Write, self.config.row_policy),
+                _ => col_cmd(RequestKind::Read, self.config.row_policy),
+            };
+            (key & !PREP, cmd)
+        };
+        if ready.0 != u64::MAX {
+            let (seq, cmd) = command(ready.0, ready.1);
+            return Decision::Issue {
                 index: queue.position(seq),
                 cmd,
-            },
-            (None, None) => Decision::Wait(horizon),
+            };
+        }
+        let (at, key, bank_id) = next;
+        // The earliest candidates are exactly those whose time is `at`, and
+        // the same key order picks among them.
+        let then = (at != u64::MAX).then(|| {
+            let (seq, cmd) = command(key, bank_id);
+            Pending {
+                at,
+                serve_writes,
+                seq,
+                rank: bank_id / queue.banks_per_rank,
+                cmd,
+            }
+        });
+        Decision::Wait { at, then }
+    }
+
+    /// Debug builds check, before every per-bank decision, that the state
+    /// kept between decisions equals what the queues and the timing state
+    /// make it now.
+    #[cfg(debug_assertions)]
+    fn assert_kept_state_is_current(&self) {
+        let fresh = IssueFloors::new(&self.state, &self.config.timing, &self.config.geometry);
+        assert_eq!(fresh.at, self.floors.at, "stale issue floors");
+        for queue in [&self.read_queue, &self.write_queue] {
+            for bank_id in queue.occupied_banks() {
+                let (rank, flat) = (
+                    bank_id / queue.banks_per_rank,
+                    bank_id % queue.banks_per_rank,
+                );
+                let kept = queue.candidates[bank_id];
+                let now = queue
+                    .candidate(bank_id, &self.state.ranks[rank].banks[flat])
+                    .expect("occupied banks have entries");
+                assert_eq!(
+                    (kept.key, kept.local, kept.floor),
+                    (now.key, now.local, now.floor),
+                    "stale candidate of bank {bank_id}"
+                );
+            }
         }
     }
 
@@ -866,13 +1071,14 @@ impl MemoryController {
         } else {
             read_queue
         };
-        match cmd {
+        let dram = match cmd {
             DramCommand::Activate => {
                 let q = &mut queue.entries[index];
                 q.needed_activate = true;
                 let dram = q.dram;
                 state.issue(timing, cmd, &dram, now);
                 stats.activates += 1;
+                dram
             }
             DramCommand::Precharge => {
                 let q = &mut queue.entries[index];
@@ -880,6 +1086,7 @@ impl MemoryController {
                 let dram = q.dram;
                 state.issue(timing, cmd, &dram, now);
                 stats.precharges += 1;
+                dram
             }
             DramCommand::Read | DramCommand::ReadAp | DramCommand::Write | DramCommand::WriteAp => {
                 let q = queue.remove(index);
@@ -909,10 +1116,41 @@ impl MemoryController {
                     enqueued_at: q.enqueued_at,
                     finished_at,
                 });
+                q.dram
             }
             DramCommand::PrechargeAll | DramCommand::Refresh => {
                 unreachable!("refresh path handles rank-wide commands")
             }
+        };
+        self.note_command(cmd, &dram);
+    }
+
+    /// Bring the state kept between decisions up to date after `cmd`
+    /// issued to `dram` (module docs), and drop any decision taken ahead.
+    fn note_command(&mut self, cmd: DramCommand, dram: &DramAddr) {
+        self.pending.set(None);
+        let timing = &self.config.timing;
+        match cmd {
+            DramCommand::Precharge => {}
+            DramCommand::Activate => self.floors.activated(&self.state, timing, dram.rank),
+            DramCommand::Read | DramCommand::ReadAp | DramCommand::Write | DramCommand::WriteAp => {
+                self.floors.column_issued(&self.state, timing, dram.rank);
+            }
+            DramCommand::Refresh => self.floors.refreshed(&self.state, timing, dram.rank),
+            DramCommand::PrechargeAll => unreachable!("the controller never issues PREA"),
+        }
+        let rank = &self.state.ranks[dram.rank];
+        let first = dram.rank * self.read_queue.banks_per_rank;
+        let flats = if cmd == DramCommand::Refresh {
+            0..rank.banks.len()
+        } else {
+            let flat = dram.flat_bank(self.config.geometry.banks_per_group);
+            flat..flat + 1
+        };
+        for flat in flats {
+            let bank = &rank.banks[flat];
+            self.read_queue.update_candidate(first + flat, bank);
+            self.write_queue.update_candidate(first + flat, bank);
         }
     }
 }
