@@ -279,7 +279,7 @@ impl SimConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.gpus == 0 {
             return Err(SimError::InvalidConfig { parameter: "gpus" });
         }
@@ -805,6 +805,8 @@ pub fn simulate(
     cfg: &SimConfig,
     arrivals_us: &[f64],
 ) -> Result<SimReport, SimError> {
+    // The pricer is built from a valid configuration only.
+    cfg.validate()?;
     let model = resolve_transfer(model, cfg);
     let pricer = cfg.pricing.build_with_hot_rows(&model, cfg.hot_rows);
     simulate_with_pricer(workload, cfg, arrivals_us, pricer.as_ref())

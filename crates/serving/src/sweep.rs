@@ -89,6 +89,8 @@ pub fn offered_load_sweep_par(
     seed: u64,
     workers: usize,
 ) -> Result<Vec<LoadPoint>, SimError> {
+    // The pricer is built from a valid configuration only.
+    cfg.validate()?;
     let model = crate::sim::resolve_transfer(model, cfg);
     let pricer = cfg.pricing.build_with_hot_rows(&model, cfg.hot_rows);
     let pricer = pricer.as_ref();

@@ -71,6 +71,11 @@ impl PricingBackend {
     /// of the gather replay. The analytic backend has no replay and
     /// ignores the knob; the cycle backend folds it into its NMP
     /// configuration (and thus into every [`CycleKey`]).
+    ///
+    /// # Panics
+    ///
+    /// The cycle backend panics on a hot-row geometry it cannot build
+    /// (see [`CyclePricer::with_config`]).
     pub fn build_with_hot_rows<'a>(
         self,
         model: &'a SystemModel,
@@ -492,12 +497,31 @@ impl<'a> CyclePricer<'a> {
     }
 
     /// A pricer with explicit knobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`CyclePricer::try_with_config`]):
+    /// a bad configuration fails here, not inside a later cold replay.
     pub fn with_config(model: &'a SystemModel, config: CyclePricerConfig) -> Self {
-        CyclePricer {
+        Self::try_with_config(model, config).expect("valid cycle-pricer configuration")
+    }
+
+    /// A pricer with explicit knobs, validated the way the setters
+    /// validate them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`NmpError`] an NMP core would raise for `config`.
+    pub fn try_with_config(
+        model: &'a SystemModel,
+        config: CyclePricerConfig,
+    ) -> Result<Self, NmpError> {
+        NmpCore::new(config.nmp.clone())?;
+        Ok(CyclePricer {
             model,
             state: RwLock::new(CycleState::fresh(config)),
             replays: AtomicU64::new(0),
-        }
+        })
     }
 
     /// The knobs in use (a snapshot — the live value can change under
@@ -913,6 +937,31 @@ mod tests {
         let cost = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
         assert!(cost.service_us.is_finite() && cost.service_us > 0.0);
         assert_eq!(pricer.cached_entries(), 2);
+    }
+
+    #[test]
+    fn invalid_constructor_config_fails_at_construction() {
+        let model = SystemModel::paper_defaults();
+        let mut config = CyclePricerConfig::paper_defaults();
+        config.nmp.dram.write_low_watermark = config.nmp.dram.write_high_watermark;
+        assert!(matches!(
+            CyclePricer::try_with_config(&model, config.clone()),
+            Err(NmpError::Dram(_))
+        ));
+        let built = std::panic::catch_unwind(|| {
+            CyclePricer::with_config(&model, config.clone());
+        });
+        assert!(built.is_err(), "with_config must reject the configuration");
+
+        // A valid configuration builds through both and prices.
+        let mut valid = CyclePricerConfig::paper_defaults();
+        valid.max_replayed_lookups = 256;
+        let pricer = CyclePricer::try_with_config(&model, valid.clone()).expect("valid");
+        let w = Workload::facebook();
+        let cost = pricer.price(&w, 8, DesignPoint::Tdimm, 1).expect("valid");
+        assert!(cost.service_us.is_finite() && cost.service_us > 0.0);
+        let same = CyclePricer::with_config(&model, valid);
+        assert_eq!(same.price(&w, 8, DesignPoint::Tdimm, 1), Ok(cost));
     }
 
     #[test]
