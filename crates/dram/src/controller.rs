@@ -812,6 +812,10 @@ impl MemoryController {
     /// queued request's next command could become issuable.
     fn schedule(&mut self, by_bank: bool) -> (bool, u64) {
         let serve_writes = self.write_mode;
+        if self.queue(serve_writes).is_empty() {
+            self.pending.set(None);
+            return (false, u64::MAX);
+        }
         // A decision taken ahead still holds when nothing has changed
         // since (any command or enqueue drops it) and its rank has no
         // refresh due.
