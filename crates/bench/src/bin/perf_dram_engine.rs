@@ -27,6 +27,10 @@
 //! schedule is empty must leave the serving simulation byte-identical,
 //! and a harsh plan must degrade it while conserving every request.
 //!
+//! The `cold_replays` scenario replays the 32 gather shapes the repository
+//! benchmark's `node_degraded` workload prices cold and records their
+//! simulated cycles, scheduling decisions and host time per cycle.
+//!
 //! Besides the tick-vs-event scenarios, the harness runs the **parallel
 //! execution layer** through its paces: a sequential-vs-parallel offered
 //! load sweep (`parallel_sweep`), a sequential-vs-concurrent cycle-pricer
@@ -46,7 +50,7 @@ use tensordimm_dram::{
     Completion, DramConfig, MemoryStats, MemorySystem, Request, Trace, TraceEntry, TraceRunner,
 };
 use tensordimm_embedding::zipf_lookup_rows;
-use tensordimm_isa::{DimmContext, Instruction};
+use tensordimm_isa::{AccessPlan, DimmContext, Instruction};
 use tensordimm_models::Workload;
 use tensordimm_nmp::{NmpConfig, NmpCore, NmpRunStats};
 use tensordimm_serving::{
@@ -399,6 +403,58 @@ fn main() {
         eprintln!(
             "{:<24} {:>7}      batch-32 price {:>8.1} us    cold {:>8.4}s  warm {:>9.6}s  {:>6.0}x",
             "serving_cycle_price", "", cold.service_us, cold_wall_s, warm_wall_s, memo_speedup
+        );
+    }
+
+    // The cold replays of the repository benchmark's `node_degraded`
+    // workload: the cycle pricer's Facebook gathers at batches 1-32 behind
+    // a 1024-row 8-way hot-row cache. Records the work count behind a cold
+    // replay's cost (scheduling decisions) next to its host time per
+    // simulated cycle; informational, not gated.
+    {
+        let mut config = CyclePricerConfig::paper_defaults();
+        config.nmp.hot_rows = HotRowCacheConfig::set_associative(1024, 8);
+        let w = Workload::facebook();
+        let zipf_s = SystemModel::paper_defaults().config().zipf_s;
+        let shapes: Vec<_> = (1..=32)
+            .map(|batch| {
+                let (instr, indices, ctx) = config.lowered_gather(zipf_s, &w, batch);
+                let plan = AccessPlan::for_dimm(&instr, ctx, Some(&indices)).expect("valid plan");
+                (instr, plan, ctx)
+            })
+            .collect();
+        let (mut cycles, mut decisions) = (0, 0);
+        let start = Instant::now();
+        for (instr, plan, ctx) in &shapes {
+            let stats = NmpCore::new(config.nmp.clone())
+                .expect("valid NMP config")
+                .run_plan(instr, plan, *ctx)
+                .expect("replay runs");
+            cycles += stats.cycles;
+            decisions += stats.scheduling_decisions;
+        }
+        let wall_s = start.elapsed().as_secs_f64();
+        let ns_per_cycle = wall_s * 1e9 / cycles as f64;
+        rows.push(format!(
+            concat!(
+                "    {{\"scenario\": \"cold_replays\", \"shapes\": {}, ",
+                "\"nmp_cycles\": {}, \"scheduling_decisions\": {}, ",
+                "\"wall_s\": {:.6}, \"host_ns_per_cycle\": {:.1}}}"
+            ),
+            shapes.len(),
+            cycles,
+            decisions,
+            wall_s,
+            ns_per_cycle,
+        ));
+        eprintln!(
+            "{:<24} {:>7} shapes {:>10} cycles  {:>8} decisions  {:>8.3}s  {:>6.0} ns/cycle",
+            "cold_replays",
+            shapes.len(),
+            cycles,
+            decisions,
+            wall_s,
+            ns_per_cycle
         );
     }
 
