@@ -260,6 +260,9 @@ impl RequestQueue {
     }
 
     fn update_candidate(&mut self, bank_id: usize, bank: &Bank) {
+        if self.occupied[bank_id / 64] & (1 << (bank_id % 64)) == 0 {
+            return;
+        }
         if let Some(candidate) = self.candidate(bank_id, bank) {
             self.candidates[bank_id] = candidate;
         }
@@ -287,7 +290,9 @@ impl IssueFloors {
             bank_groups: geometry.bank_groups,
         };
         for rank in 0..geometry.ranks_per_channel {
-            floors.refreshed(state, t, rank);
+            floors.activated(state, t, rank);
+            floors.column_issued(state, t, rank);
+            floors.refreshed(state, rank);
         }
         floors
     }
@@ -322,13 +327,17 @@ impl IssueFloors {
         }
     }
 
-    /// After a refresh of `rank` (or to start): all of its groups' floors.
-    fn refreshed(&mut self, state: &ChannelState, t: &DramTiming, rank: usize) {
-        self.activated(state, t, rank);
-        self.column_issued(state, t, rank);
+    /// After a refresh of `rank` (or to start): its refresh-busy time is
+    /// a term of every floor of its groups and the only one a refresh
+    /// moves, and it only grows, so each floor rises to it.
+    fn refreshed(&mut self, state: &ChannelState, rank: usize) {
+        let busy = state.ranks[rank].refresh_busy_until;
         let first = rank * self.bank_groups;
         for group in first..first + self.bank_groups {
-            self.at[group * KINDS + PRECHARGE] = state.ranks[rank].refresh_busy_until;
+            self.in_rank[group] = self.in_rank[group].map(|floor| floor.max(busy));
+            for floor in &mut self.at[group * KINDS..(group + 1) * KINDS] {
+                *floor = (*floor).max(busy);
+            }
         }
     }
 }
@@ -1140,7 +1149,7 @@ impl MemoryController {
             DramCommand::Read | DramCommand::ReadAp | DramCommand::Write | DramCommand::WriteAp => {
                 self.floors.column_issued(&self.state, timing, dram.rank);
             }
-            DramCommand::Refresh => self.floors.refreshed(&self.state, timing, dram.rank),
+            DramCommand::Refresh => self.floors.refreshed(&self.state, dram.rank),
             DramCommand::PrechargeAll => unreachable!("the controller never issues PREA"),
         }
         let rank = &self.state.ranks[dram.rank];
