@@ -260,9 +260,6 @@ impl RequestQueue {
     }
 
     fn update_candidate(&mut self, bank_id: usize, bank: &Bank) {
-        if self.occupied[bank_id / 64] & (1 << (bank_id % 64)) == 0 {
-            return;
-        }
         if let Some(candidate) = self.candidate(bank_id, bank) {
             self.candidates[bank_id] = candidate;
         }
