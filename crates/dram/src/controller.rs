@@ -40,9 +40,10 @@
 //!   every bank in its rank.
 //! * **Issue floors**, per bank group and command kind: the rank-, group-
 //!   and bus-wide parts of the issue times. An ACTIVATE recomputes its
-//!   rank's floors (tRRD, tFAW), a column command its rank's and every
-//!   rank's bus terms, a refresh its rank's; a PRECHARGE changes none. All
-//!   groups of a rank are recomputed in one pass.
+//!   rank's floors (tRRD, tFAW) and a column command its rank's and every
+//!   rank's bus terms, all groups of a rank in one pass; a refresh raises
+//!   its rank's floors to the new refresh-busy time; a PRECHARGE changes
+//!   none.
 //! * **A decision taken ahead.** When nothing can issue, the decision also
 //!   names the command that wins at its horizon, and the step at that cycle
 //!   issues it without deciding again; likewise a command
